@@ -81,8 +81,13 @@ class SparseMatmult:
             self.y.close()
 
     def _y(self) -> np.ndarray:
-        """The output vector as a plain ndarray (``np.add.at`` needs one)."""
-        return self.y.np if shm.is_shared(self.y) else self.y
+        """The output vector as a plain ndarray (``np.add.at`` needs one).
+
+        Any wrapper exposing its live buffer as ``.np`` qualifies: a
+        ``SharedArray`` in the master and forked members, or the socket
+        plane's ``RemoteArray`` mirror in a distributed worker.
+        """
+        return getattr(self.y, "np", self.y)
 
     # -- base program -----------------------------------------------------------
 

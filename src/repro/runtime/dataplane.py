@@ -263,6 +263,13 @@ class Coordinator:
         self._closing = True
         if self._listener is not None:
             try:
+                # close() alone does not wake a thread blocked in accept() on
+                # Linux; without shutdown() every region would leave its
+                # accept thread, and with it this coordinator, alive.
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # not every platform allows shutdown() on a listener
+            try:
                 self._listener.close()
             except OSError:
                 pass

@@ -8,15 +8,20 @@ the runtime's sharding story: OpenMP constructs on top, an MPI-shaped
 message plane underneath, with nothing in the worker's world but the wire
 protocol (the same shape a multi-host deployment would need).
 
+Workers are spawned once and reused (see :func:`_worker_loop`).
+Coordinators stay per region, so authentication, dropped-connection-as-death,
+heartbeats and member identity are the same for a warm worker as for a
+fresh one.
+
 Division of labour with :mod:`repro.runtime.dataplane`:
 
 * the data plane owns *state and transport* — coordinator, arenas,
   barrier, array mirrors, proxies;
-* this module owns *membership* — spawning the workers, shipping the
-  region descriptor, collecting results, and converting a dropped
-  connection or missed heartbeats into the same
-  :class:`~repro.runtime.exceptions.WorkerProcessError` diagnostics the
-  forked path produces.
+* this module owns *membership* — keeping workers warm, handing each
+  region's record to them, shipping the region descriptor, collecting
+  results, and converting a dropped connection or missed heartbeats into
+  the same :class:`~repro.runtime.exceptions.WorkerProcessError`
+  diagnostics the forked path produces.
 
 Round-trip economics mirror the paper's worksharing split: static/cyclic
 schedules are pure functions of the member id and cost **zero** messages;
@@ -30,11 +35,15 @@ the thread fallback.
 
 from __future__ import annotations
 
+import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
 import warnings
-from typing import TYPE_CHECKING, Any, Callable
+import weakref
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.runtime import dataplane, faults, shm
 from repro.runtime.barrier import _default_barrier_timeout
@@ -65,18 +74,36 @@ def _path_prelude() -> str:
     )
 
 
-def _bootstrap_source(host: str, port: int, token: str, member: int) -> str:
-    """Self-contained ``python -c`` source executed by a worker process."""
-    return (
-        _path_prelude()
-        + "from repro.runtime import distributed as _dist\n"
-        + f"_dist._worker_main({host!r}, {port}, {token!r}, {member})\n"
-    )
+def _bootstrap_source() -> str:
+    """Self-contained ``python -c`` source of a warm worker (no per-region data)."""
+    return _path_prelude() + "from repro.runtime import distributed as _dist\n_dist._worker_loop()\n"
 
 
 # ---------------------------------------------------------------------------
 # Worker side: runs in the spawned process.
 # ---------------------------------------------------------------------------
+
+
+def _worker_loop() -> None:
+    """Serve regions until the master closes the control pipe or dies.
+
+    Each region arrives as one rendezvous record on stdin (``host port token
+    member``), so the per-region token never appears in this process's argv.
+    A forked child of the master can hold the pipe's write end open past the
+    master's death, so EOF alone is not enough: a watchdog also exits the
+    worker once it has been reparented.
+    """
+    parent = os.getppid()
+
+    def exit_when_orphaned() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(0)
+
+    threading.Thread(target=exit_when_orphaned, name="aomp-dist-orphan-watch", daemon=True).start()
+    for record in sys.stdin.buffer:
+        host, port, token, member = record.decode("ascii").split()
+        _worker_main(host, int(port), token, int(member))
 
 
 def _worker_main(host: str, port: int, token: str, member: int) -> None:
@@ -155,8 +182,10 @@ def _worker_main(host: str, port: int, token: str, member: int) -> None:
         session.flush_arrays()
         # Final flush rides the result frame: counts accumulated since the
         # last barrier piggyback (including the barrier RPCs themselves).
-        delta = obsreg.flush_delta() if session.metrics else None
-        session.call("result", member, payload[0], payload[1], delta)
+        # Drained even when not shipped, so a warm worker carries no counts
+        # into its next region.
+        delta = obsreg.flush_delta()
+        session.call("result", member, payload[0], payload[1], delta if session.metrics else None)
     finally:
         session.close()
 
@@ -195,21 +224,42 @@ def _fault_fields() -> "tuple[str, int] | None":
 # ---------------------------------------------------------------------------
 
 
+def _retire(procs: "Iterable[subprocess.Popen]", *, kill: bool) -> None:
+    """Stop and reap workers: closing the control pipe ends an idle worker's
+    loop; ``kill`` ends one that may be busy or wedged."""
+    procs = list(procs)
+    for proc in procs:
+        if kill:
+            proc.kill()
+        proc.stdin.close()  # unbuffered: nothing left to flush into a dead pipe
+    for proc in procs:
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:  # pragma: no cover - wedged worker
+            proc.kill()
+            proc.wait()
+
+
 class DistributedBackend(Backend):
     """Run team members in independent socket-connected worker processes.
 
     Capability-wise a process backend without the fork dependency: no shared
-    Python heap (regions needing one fall back to threads), true parallelism
-    (separate interpreters), and the steepest spin-up cost in the registry —
-    every region pays interpreter start + import in each worker, which is the
-    honest price of the distributed-memory shape until a persistent worker
-    tier exists.
+    Python heap (regions needing one fall back to threads) and true
+    parallelism (separate interpreters).  Workers are spawned once and kept
+    warm: a region takes idle workers first and spawns only the shortfall,
+    so after the first region entry costs one control-pipe write and one TCP
+    handshake per worker instead of interpreter start + import.  Workers of a
+    region that ended cleanly go back to the idle list (bounded by the
+    largest team this instance has run); a region with any member exception,
+    death, stall or abort kills and reaps its workers, and the next region
+    spawns fresh ones.
     """
 
     name = "distributed"
     supports_shared_locals = False
     is_process_based = True
-    #: full interpreter spawn + package import per worker per region.
+    #: priced at a full interpreter spawn + package import per worker, the
+    #: cost of a cold region; warm regions are far cheaper.
     spinup_cost_scale = 8.0
 
     #: seconds granted to workers beyond the barrier timeout before the
@@ -220,6 +270,12 @@ class DistributedBackend(Backend):
         self._fallback = fallback if fallback is not None else ThreadBackend(name_prefix="aomp-dist-fallback")
         self._plane = dataplane.SocketDataPlane()
         self._warned_fallback: set[str] = set()
+        #: warm workers between regions; mutated in place so the finalizer
+        #: below retires whatever it holds when the backend is collected.
+        self._idle: "list[subprocess.Popen]" = []
+        self._idle_lock = threading.Lock()
+        self._largest = 0  # most workers one region (or prewarm) has needed
+        weakref.finalize(self, _retire, self._idle, kill=False)
 
     @property
     def fallback(self) -> Backend:
@@ -297,42 +353,24 @@ class DistributedBackend(Backend):
             "faults": _fault_fields(),
         }
 
-        workers: "dict[int, subprocess.Popen]" = {}
-        try:
-            for member in team.members[1:]:
-                workers[member.thread_id] = subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-c",
-                        _bootstrap_source(
-                            dataplane.LOOPBACK_HOST, coordinator.port, coordinator.token, member.thread_id
-                        ),
-                    ],
-                    stdin=subprocess.DEVNULL,
-                )
-        except BaseException:
-            # A failed spawn (fd exhaustion, fork failure) must not leak the
-            # workers already started: reap them now instead of leaving
-            # orphan interpreters to discover the closed coordinator via RPC
-            # timeouts.  finish_region releases the coordinator on this path.
-            for proc in workers.values():
-                proc.kill()
-            for proc in workers.values():
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover - unkillable child
-                    pass
-            raise
+        members = [member.thread_id for member in team.members[1:]]
+        workers = dict(zip(members, self._acquire(len(members))))
+        record = f"{dataplane.LOOPBACK_HOST} {coordinator.port} {coordinator.token}"
+        for member_id, proc in workers.items():
+            try:
+                proc.stdin.write(f"{record} {member_id}\n".encode("ascii"))  # < PIPE_BUF: atomic
+            except OSError:
+                pass  # died idle after the liveness check: the monitor reports it
 
         def dead_workers() -> list:
-            # A spawned worker that finished cleanly exits 0; abnormal exits
-            # and connections the coordinator saw drop before a result frame
-            # are both deaths (the latter catches a worker wedged after losing
-            # its socket, which poll() alone would miss until process exit).
+            # A warm worker never exits during a region, so any exit is a
+            # death; so is a connection the coordinator saw drop before a
+            # result frame (a worker wedged after losing its socket, which
+            # poll() alone would miss).
             dead = [
                 (member_id, proc.pid, proc.poll())
                 for member_id, proc in workers.items()
-                if proc.poll() not in (None, 0)
+                if proc.poll() is not None
             ]
             seen = {member_id for member_id, _pid, _code in dead}
             for member_id, pid in coordinator.lost_members():
@@ -370,17 +408,65 @@ class DistributedBackend(Backend):
             apply_member_payloads(
                 team, payloads, deaths=monitor.deaths, stalled=monitor.stalled, heartbeat=coordinator.heartbeat
             )
-            failed = any(member.exception is not None for member in team.members)
-            for proc in workers.values():
-                try:
-                    proc.wait(timeout=0.5 if failed else 5.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    try:
-                        proc.wait(timeout=1.0)
-                    except subprocess.TimeoutExpired:  # pragma: no cover - unkillable child
-                        pass
+            clean = not (monitor.deaths or monitor.stalled or team.broken) and all(
+                member.exception is None for member in team.members
+            )
+            if clean:
+                self._release(workers.values())
+            else:
+                # A failed region's workers may be wedged mid-body or hold
+                # stale state: never reuse them.
+                _retire(workers.values(), kill=True)
         return master_result
+
+    # -- warm workers ---------------------------------------------------------
+
+    def prewarm(self, workers: int) -> bool:
+        """Spawn ``workers`` idle workers now so the first region finds them warm.
+
+        The compute service's start-up hook (as for the process backend's
+        pool).  Returns whether every worker is alive.
+        """
+        procs = self._acquire(max(0, workers))
+        self._release(procs)
+        return bool(procs) and all(proc.poll() is None for proc in procs)
+
+    def shutdown(self) -> None:
+        """Stop and reap the idle workers (busy ones retire with their region)."""
+        with self._idle_lock:
+            idle, self._idle[:] = self._idle[:], []
+        _retire(idle, kill=False)
+
+    def _acquire(self, count: int) -> "list[subprocess.Popen]":
+        """Take ``count`` workers: idle warm ones first, spawning the shortfall."""
+        warm: "list[subprocess.Popen]" = []
+        dead: "list[subprocess.Popen]" = []
+        with self._idle_lock:
+            self._largest = max(self._largest, count)
+            for proc in self._idle:
+                (warm if proc.poll() is None else dead).append(proc)
+            self._idle[:] = warm[count:]
+        _retire(dead, kill=True)
+        procs = warm[:count]
+        try:
+            while len(procs) < count:
+                procs.append(
+                    subprocess.Popen([sys.executable, "-c", _bootstrap_source()], stdin=subprocess.PIPE, bufsize=0)
+                )
+        except BaseException:
+            # A failed spawn (fd exhaustion, fork failure) must not leak the
+            # workers already taken.
+            _retire(procs, kill=True)
+            raise
+        return procs
+
+    def _release(self, procs: "Iterable[subprocess.Popen]") -> None:
+        """Return healthy workers to the idle list, retiring any surplus."""
+        with self._idle_lock:
+            self._idle.extend(procs)
+            surplus = self._idle[self._largest :]
+            del self._idle[self._largest :]
+        _retire(surplus, kill=False)
 
     # -- helpers --------------------------------------------------------------
 

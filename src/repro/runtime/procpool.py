@@ -95,6 +95,9 @@ def _pool_worker(task_queue, result_queue, sync: "shm.ProcessSync") -> None:
             payload = (ticket, thread_id, None, _encode_exception(exc))
         else:
             payload = (ticket, thread_id, _encode_result(result), None)
+        # The task's segments were attached for its body alone; a worker that
+        # kept them mapped would pin every unlinked region's pages.
+        shm.detach_all()
         result_queue.put(payload)
 
 

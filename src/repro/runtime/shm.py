@@ -159,7 +159,9 @@ class SharedArray:
     residue even when a region body raises before its ``finally`` cleanup
     runs, the non-owner's guarantees a clean detach so the resource tracker
     has nothing to complain about at interpreter shutdown — and both
-    unregister it again on an explicit close.
+    unregister it again on an explicit close.  That registration pins the
+    array, so a long-lived pool worker calls :func:`detach_all` after each
+    task instead of keeping every region's unlinked segments mapped.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, shape: tuple, dtype: np.dtype, *, owner: bool) -> None:
@@ -170,6 +172,8 @@ class SharedArray:
         self._closed = False
         self.np: np.ndarray = np.ndarray(self._shape, dtype=self._dtype, buffer=shm.buf)
         atexit.register(self.close)
+        if not owner:
+            _attached.add(self)
 
     # -- construction --------------------------------------------------------
 
@@ -240,6 +244,7 @@ class SharedArray:
         self._closed = True
         # Symmetric with __init__ for owner *and* non-owner registrations.
         atexit.unregister(self.close)
+        _attached.discard(self)
         # Drop the view before closing the mmap underneath it.
         self.np = None  # type: ignore[assignment]
         try:
@@ -258,6 +263,16 @@ class SharedArray:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+#: arrays this process attached (not owns) and has not closed yet.
+_attached: "set[SharedArray]" = set()
+
+
+def detach_all() -> None:
+    """Detach every array this process attached; owned arrays are untouched."""
+    for array in list(_attached):
+        array.close()
 
 
 def _segment_name() -> str:

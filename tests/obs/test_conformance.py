@@ -206,6 +206,7 @@ class TestDistributedScrapeConformance:
         finally:
             body.close()
             expo.stop_exporter()
+            backend.shutdown()
 
         counters = team_counters()
         chunks = counters["aomp_chunks_total"]["dynamic"]

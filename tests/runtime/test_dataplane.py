@@ -11,20 +11,28 @@ Three layers of proof, cheapest first:
   schedules, which is the acceptance bar for the socket plane;
 * **liveness** — a SIGKILLed remote member must surface as a diagnosed
   :class:`~repro.runtime.exceptions.WorkerProcessError` within seconds via
-  the dropped-connection signal, not the barrier timeout.
+  the dropped-connection signal, not the barrier timeout;
+* **warm workers** — spawned workers serve consecutive regions, a failed
+  region's workers are never reused, per-region state (fault plan,
+  schedule) does not leak between regions, and idle workers never outlive
+  the master.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.runtime import dataplane, shm
+from repro.runtime import dataplane, get_thread_id, shm
 from repro.runtime.backend import available_backends, backend_by_name
 from repro.runtime.barrier import BrokenBarrierError
 from repro.runtime.config import config_override
@@ -60,6 +68,14 @@ def _isolated_fault_plan():
     previous = set_fault_plan(None)
     yield
     set_fault_plan(previous)
+
+
+@pytest.fixture
+def dist_backend():
+    """A private distributed backend whose warm workers are reaped afterwards."""
+    backend = DistributedBackend()
+    yield backend
+    backend.shutdown()
 
 
 @pytest.fixture
@@ -188,6 +204,18 @@ class TestCoordinatorRPC:
         # The impostor's disconnect must not be mistaken for a worker death.
         time.sleep(0.05)
         assert coordinator.lost_members() == []
+
+    def test_shutdown_ends_the_accept_thread(self):
+        """A leftover accept thread would keep every region's coordinator
+        (arenas, body bytes) alive for the life of the master."""
+        before = threading.active_count()
+        coord = dataplane.Coordinator(2)
+        coord.start()
+        coord.shutdown()
+        deadline = time.monotonic() + 2.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
 
     def test_unknown_op_raises_client_side(self, session):
         with pytest.raises(ValueError, match="unknown data-plane op"):
@@ -377,24 +405,24 @@ class TestDistributedBackendResolution:
         for alias in ("dist", "sockets", "socket"):
             assert isinstance(backend_by_name(alias), DistributedBackend)
 
-    def test_size_one_runs_inline(self):
-        backend = DistributedBackend()
+    def test_size_one_runs_inline(self, dist_backend):
+        backend = dist_backend
         assert backend.resolve_for_region(size=1, requires_shared_locals=False, nesting_level=0) is backend
         assert backend.create_process_sync(1, lambda: None) is None
 
-    def test_nested_regions_fall_back_to_threads(self):
-        backend = DistributedBackend()
+    def test_nested_regions_fall_back_to_threads(self, dist_backend):
+        backend = dist_backend
         resolved = backend.resolve_for_region(size=2, requires_shared_locals=False, nesting_level=1)
         assert resolved is backend.fallback
 
-    def test_shared_locals_warn_and_fall_back(self):
-        backend = DistributedBackend()
+    def test_shared_locals_warn_and_fall_back(self, dist_backend):
+        backend = dist_backend
         with pytest.warns(RuntimeWarning, match="DistributedBackend"):
             resolved = backend.resolve_for_region(size=2, requires_shared_locals=True, nesting_level=0)
         assert resolved is backend.fallback
 
-    def test_unpicklable_body_warns_and_runs_on_threads(self):
-        backend = DistributedBackend()
+    def test_unpicklable_body_warns_and_runs_on_threads(self, dist_backend):
+        backend = dist_backend
         lock = threading.Lock()  # closures over locks cannot pickle
 
         def body():
@@ -429,9 +457,28 @@ class _SharedFillBody:
         self.out.close()
 
 
+class _PidBody:
+    """Picklable ``process_safe`` SPMD owner recording each member's pid."""
+
+    process_safe = True
+
+    def __init__(self, size: int) -> None:
+        self.pids = shm.shared_zeros(size)
+
+    def run(self) -> None:
+        self.pids[get_thread_id()] = os.getpid()
+
+    def members(self) -> "list[int]":
+        """Pids of the non-master members of the last region."""
+        return [int(pid) for pid in self.pids.view()[1:]]
+
+    def close(self) -> None:
+        self.pids.close()
+
+
 class TestDistributedExecution:
-    def test_spmd_loop_fills_a_shared_array(self):
-        backend = DistributedBackend()
+    def test_spmd_loop_fills_a_shared_array(self, dist_backend):
+        backend = dist_backend
         body = _SharedFillBody(24)
         try:
             parallel_region(body.run, num_threads=3, backend=backend, name="dist-fill")
@@ -457,13 +504,25 @@ class TestDistributedExecution:
             actual = crypt.run_backend("tiny", num_threads=3, backend="distributed")
         assert actual.value == expected.value
 
+    @pytest.mark.parametrize("kernel", ("python", "vector"))
+    @pytest.mark.parametrize("schedule", CONFORMANCE_SCHEDULES)
+    def test_sparse_matches_processes(self, schedule, kernel):
+        """The worker's output vector is a RemoteArray mirror, not a
+        SharedArray: the scatter must still reach its live buffer."""
+        from repro.jgf.sparse import parallel as sparse
+
+        with config_override(default_schedule=schedule):
+            expected = sparse.run_backend("tiny", num_threads=3, backend="processes", kernel=kernel)
+            actual = sparse.run_backend("tiny", num_threads=3, backend="distributed", kernel=kernel)
+        assert actual.value == expected.value
+
 
 class TestDeadMemberDetection:
-    def test_sigkilled_remote_member_is_diagnosed_fast(self):
+    def test_sigkilled_remote_member_is_diagnosed_fast(self, dist_backend):
         """Acceptance bar: socket close + missed beats -> WorkerProcessError
         well inside 5s, with the member and signal named."""
         set_fault_plan(parse_fault_spec("kill:member=1,region=0"))
-        backend = DistributedBackend()
+        backend = dist_backend
         body = _SharedFillBody(16)
         try:
             start = time.monotonic()
@@ -479,17 +538,218 @@ class TestDeadMemberDetection:
             set_fault_plan(None)
             body.close()
 
-    def test_region_after_a_death_still_works(self):
-        """Coordinators are per-region: a death must not poison the backend."""
+    def test_region_after_a_death_still_works(self, dist_backend):
+        """Coordinators are per-region and a failed region's workers are
+        replaced: the next region runs on fresh pids to the right answer."""
+        assert dist_backend.prewarm(2)
+        warm = {proc.pid for proc in dist_backend._idle}
         set_fault_plan(parse_fault_spec("kill:member=1,region=0"))
-        backend = DistributedBackend()
         body = _SharedFillBody(8)
+        pids = _PidBody(3)
         try:
             with pytest.raises(BrokenTeamError):
-                parallel_region(body.run, num_threads=3, backend=backend, name="dist-kill-1")
+                parallel_region(body.run, num_threads=3, backend=dist_backend, name="dist-kill-1")
             set_fault_plan(None)
             body.out.view()[:] = 0.0
-            parallel_region(body.run, num_threads=3, backend=backend, name="dist-after")
+            parallel_region(body.run, num_threads=3, backend=dist_backend, name="dist-after")
             assert np.array_equal(body.out.view(), np.arange(8) * 2.0)
+            parallel_region(pids.run, num_threads=3, backend=dist_backend, name="dist-after-pids")
+            assert not warm & set(pids.members())
         finally:
             body.close()
+            pids.close()
+
+
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+requires_proc = pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs Linux /proc")
+
+#: a master process for the exit tests: runs one region, prints the idle
+#: worker pids, then exits (``exit``), or, holding the workers' control pipes
+#: open in a forked child so EOF never arrives, waits to be SIGKILLed
+#: (``kill``).
+_MASTER_SCRIPT = """
+import os, sys, time
+from repro.jgf.series import parallel as series
+from repro.runtime.distributed import DistributedBackend
+
+backend = DistributedBackend()
+series.run_backend("tiny", num_threads=3, backend=backend)
+holder = 0
+if sys.argv[1] == "kill":
+    holder = os.fork()
+    if holder == 0:
+        time.sleep(60)
+        os._exit(0)
+print(holder, *[proc.pid for proc in backend._idle], flush=True)
+if sys.argv[1] == "kill":
+    time.sleep(60)
+"""
+
+
+class TestWarmWorkers:
+    def test_one_worker_serves_consecutive_regions(self, dist_backend):
+        body = _PidBody(2)
+        try:
+            parallel_region(body.run, num_threads=2, backend=dist_backend, name="warm-1")
+            first = body.members()
+            parallel_region(body.run, num_threads=2, backend=dist_backend, name="warm-2")
+            assert body.members() == first
+            assert [proc.pid for proc in dist_backend._idle] == first
+        finally:
+            body.close()
+
+    def test_prewarm_spawns_the_workers_the_next_region_uses(self, dist_backend):
+        assert dist_backend.prewarm(2)
+        warm = sorted(proc.pid for proc in dist_backend._idle)
+        body = _PidBody(3)
+        try:
+            parallel_region(body.run, num_threads=3, backend=dist_backend, name="warm-prewarmed")
+            assert sorted(body.members()) == warm
+        finally:
+            body.close()
+
+    def test_idle_list_is_bounded_by_the_largest_team(self, dist_backend):
+        body = _SharedFillBody(12)
+        try:
+            parallel_region(body.run, num_threads=2, backend=dist_backend, name="warm-small")
+            assert len(dist_backend._idle) == 1
+            parallel_region(body.run, num_threads=3, backend=dist_backend, name="warm-large")
+            parallel_region(body.run, num_threads=2, backend=dist_backend, name="warm-small-again")
+            assert len(dist_backend._idle) == 2
+        finally:
+            body.close()
+
+    def test_stalled_worker_is_never_reused(self, dist_backend, monkeypatch):
+        monkeypatch.setenv("AOMP_HEARTBEAT_TIMEOUT", "0.5")
+        monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.1")
+        assert dist_backend.prewarm(2)
+        warm = list(dist_backend._idle)
+        set_fault_plan(parse_fault_spec("stall:member=1,region=0,seconds=30"))
+        body = _SharedFillBody(8)
+        pids = _PidBody(3)
+        try:
+            with pytest.raises(BrokenTeamError):
+                parallel_region(body.run, num_threads=3, backend=dist_backend, name="warm-stall")
+            set_fault_plan(None)
+            assert all(proc.poll() is not None for proc in warm)  # killed and reaped
+            parallel_region(pids.run, num_threads=3, backend=dist_backend, name="warm-after-stall")
+            assert not {proc.pid for proc in warm} & set(pids.members())
+        finally:
+            body.close()
+            pids.close()
+
+    def test_concurrent_regions_on_one_backend(self, dist_backend):
+        bodies = [_SharedFillBody(30), _SharedFillBody(30)]
+        errors: "list[BaseException]" = []
+
+        def run(body: _SharedFillBody) -> None:
+            try:
+                for _ in range(3):
+                    parallel_region(body.run, num_threads=3, backend=dist_backend, name="warm-concurrent")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(body,)) for body in bodies]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not errors, errors
+            for body in bodies:
+                assert np.array_equal(body.out.view(), np.arange(30) * 2.0)
+            assert len(dist_backend._idle) <= 2
+        finally:
+            for body in bodies:
+                body.close()
+
+    def test_shutdown_reaps_every_worker(self, dist_backend):
+        assert dist_backend.prewarm(2)
+        warm = list(dist_backend._idle)
+        dist_backend.shutdown()
+        assert dist_backend._idle == []
+        assert all(proc.returncode is not None for proc in warm)
+
+    @requires_proc
+    def test_token_never_appears_on_the_command_line(self, dist_backend, monkeypatch):
+        tokens: "list[str]" = []
+        start = dataplane.Coordinator.start
+
+        def recording_start(coordinator) -> None:
+            tokens.append(coordinator.token)
+            start(coordinator)
+
+        monkeypatch.setattr(dataplane.Coordinator, "start", recording_start)
+        body = _SharedFillBody(8)
+        try:
+            parallel_region(body.run, num_threads=2, backend=dist_backend, name="warm-token")
+        finally:
+            body.close()
+        assert tokens
+        (proc,) = dist_backend._idle
+        with open(f"/proc/{proc.pid}/cmdline", "rb") as fh:
+            cmdline = fh.read().decode("utf-8", "replace")
+        assert "_worker_loop" in cmdline  # the live worker, not some other process
+        assert not any(token in cmdline for token in tokens)
+
+    def test_fault_plan_does_not_outlive_its_region(self, dist_backend):
+        """``chunk=1`` never fires in a region where member 1 dispatches one
+        chunk, but a plan surviving into the next region would count on and
+        fire there."""
+        body = _SharedFillBody(8)
+        try:
+            set_fault_plan(parse_fault_spec("raise:chunk=1,member=1"))
+            parallel_region(body.run, num_threads=2, backend=dist_backend, name="warm-faults-1")
+            (worker,) = dist_backend._idle
+            set_fault_plan(None)
+            body.out.view()[:] = 0.0
+            parallel_region(body.run, num_threads=2, backend=dist_backend, name="warm-faults-2")
+            assert np.array_equal(body.out.view(), np.arange(8) * 2.0)
+            assert dist_backend._idle == [worker]
+        finally:
+            body.close()
+
+    def test_schedule_change_between_regions_reaches_the_worker(self, dist_backend):
+        from repro.jgf.series import parallel as series
+
+        workers = []
+        for schedule in ("static_block", "dynamic,2", "static_cyclic"):
+            with config_override(default_schedule=schedule):
+                expected = series.run_backend("tiny", num_threads=2, backend="processes")
+                actual = series.run_backend("tiny", num_threads=2, backend=dist_backend)
+            assert actual.value == expected.value, schedule
+            workers.append([proc.pid for proc in dist_backend._idle])
+        assert workers[0] == workers[1] == workers[2]
+
+    @requires_proc
+    @pytest.mark.parametrize("how", ("exit", "kill"))
+    def test_idle_workers_do_not_outlive_the_master(self, how):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        master = subprocess.Popen(
+            [sys.executable, "-c", _MASTER_SCRIPT, how], stdout=subprocess.PIPE, text=True, env=env
+        )
+        holder = 0
+        try:
+            holder, *workers = (int(field) for field in master.stdout.readline().split())
+            assert workers
+            if how == "kill":
+                master.send_signal(signal.SIGKILL)
+            master.wait(timeout=30)
+            deadline = time.monotonic() + 2.0
+            while any(_process_alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _process_alive(pid)]
+        finally:
+            master.kill()
+            master.wait()
+            master.stdout.close()
+            if holder:
+                os.kill(holder, signal.SIGKILL)

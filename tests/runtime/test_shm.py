@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 
@@ -212,6 +213,20 @@ def test_require_fork_is_silent_where_fork_exists():
         shm.require_fork("a component under test")  # must not raise
 
 
+class _PoolFill:
+    """Picklable ``process_safe`` SPMD owner: each member marks its slot."""
+
+    process_safe = True
+
+    def __init__(self) -> None:
+        self.out = shared_zeros(4)
+
+    def run(self) -> None:
+        from repro.runtime.context import get_thread_id
+
+        self.out[get_thread_id()] = 1.0
+
+
 class TestSharedArrayLifecycle:
     """Regressions for the owner-only-unlink / atexit-symmetry contract."""
 
@@ -290,3 +305,34 @@ class TestSharedArrayLifecycle:
             parallel_region(body, num_threads=2, backend="processes")
         after = {path.name for path in Path("/dev/shm").glob("aomp_*")}
         assert after <= before
+
+    def test_detach_all_closes_attachments_only(self):
+        arr = shared_zeros(4)
+        try:
+            clone = pickle.loads(pickle.dumps(arr))
+            shm.detach_all()
+            assert clone.np is None
+            arr[0] = 1.0  # the owner stays attached
+            assert arr[0] == 1.0
+        finally:
+            arr.close()
+
+    @pytest.mark.skipif(not fork_available() or not os.path.isdir("/proc"), reason="needs fork and /proc")
+    def test_pool_worker_unmaps_a_finished_region_segments(self):
+        """A persistent pool worker must not keep every region's unlinked
+        segments mapped (their pages would never be freed)."""
+        from repro.runtime.backend import ProcessBackend
+        from repro.runtime.team import parallel_region
+
+        backend = ProcessBackend(use_pool=True)
+        assert backend.prewarm(1)  # fork first: the segment must be attached, not inherited
+        body = _PoolFill()
+        try:
+            parallel_region(body.run, num_threads=2, backend=backend, name="pool-detach")
+            assert body.out.np.tolist() == [1.0, 1.0, 0.0, 0.0]
+            for proc in backend._pool._procs:
+                with open(f"/proc/{proc.pid}/maps", encoding="utf-8") as fh:
+                    assert body.out.name not in fh.read()
+        finally:
+            backend.shutdown()
+            body.out.close()
