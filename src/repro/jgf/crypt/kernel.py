@@ -174,7 +174,7 @@ class CryptBenchmark:
         rng = JGFRandom(seed)
         self.shared = bool(shared)
         self.process_safe = self.shared
-        plain = np.array([rng.next_int() & 0xFF for _ in range(array_size)], dtype=np.int64)
+        plain = rng.states(array_size) & 0xFF
         if shared:
             self.plain = shm.as_shared(plain)
             self.encrypted = shm.shared_zeros(array_size, np.int64)
@@ -183,8 +183,7 @@ class CryptBenchmark:
             self.plain = plain
             self.encrypted = np.zeros(array_size, dtype=np.int64)
             self.decrypted = np.zeros(array_size, dtype=np.int64)
-        key_bytes = [rng.next_int() & 0xFF for _ in range(16)]
-        self.cipher = IDEACipher(key_bytes)
+        self.cipher = IDEACipher(rng.states(16) & 0xFF)
 
     def release_shared(self) -> None:
         """Free the shared-memory segments (no-op for in-process arrays)."""

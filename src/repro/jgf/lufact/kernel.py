@@ -52,9 +52,7 @@ class Linpack:
         self.process_safe = self.shared
         rng = JGFRandom(seed, left=-0.5, right=0.5)
         # a[j] is column j (lda == n); generated column-by-column as in Linpack.
-        a = np.empty((n, n), dtype=np.float64)
-        for j in range(n):
-            a[j, :] = rng.doubles(n)
+        a = rng.doubles(n * n).reshape(n, n)
         # Right-hand side chosen so the exact solution is all ones.
         b = a.sum(axis=0).copy()
         self.a = shm.as_shared(a) if shared else a

@@ -74,9 +74,7 @@ class MolDyn:
     def _initial_velocities(self, seed: int) -> np.ndarray:
         """Deterministic initial velocities with zero net momentum."""
         rng = JGFRandom(seed, left=-0.5, right=0.5)
-        velocities = np.empty((self.n, 3), dtype=np.float64)
-        for i in range(self.n):
-            velocities[i, :] = rng.doubles(3)
+        velocities = rng.doubles(3 * self.n).reshape(self.n, 3)
         velocities -= velocities.mean(axis=0)
         return velocities
 

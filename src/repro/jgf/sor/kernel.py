@@ -13,8 +13,6 @@ the ``start`` parameter — a natural fit for the paper's for-method convention.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.jgf.jgfrandom import JGFRandom
 from repro.runtime import shm
 from repro.runtime.worksharing import run_for
@@ -52,12 +50,10 @@ class SORBenchmark:
         self.shared = bool(shared)
         self.process_safe = self.shared
         self.kernel = kernel
+        # One row-major stream, row by row: the values are identical
+        # regardless of the parallelisation applied later.
         rng = JGFRandom(seed, left=-0.5, right=0.5)
-        # Row-by-row generation keeps the values identical regardless of the
-        # parallelisation applied later (data is created sequentially).
-        grid = np.empty((grid_size, grid_size), dtype=np.float64)
-        for i in range(grid_size):
-            grid[i, :] = rng.doubles(grid_size)
+        grid = rng.doubles(grid_size * grid_size).reshape(grid_size, grid_size)
         self.grid = shm.as_shared(grid) if shared else grid
 
     def release_shared(self) -> None:

@@ -198,7 +198,7 @@ class CollapsedRange:
 
     * **tuple mode** (default) — the schedulable unit is one index tuple;
       a chunk may start or end mid-row and :meth:`segments` splits it into
-      maximal per-row runs of the innermost dimension.
+      a partial head row, a block of whole rows and a partial tail row.
     * **row-pinned mode** — the schedulable unit is one *row* (a full
       innermost range with the outer indices fixed); chunks are expressed in
       ``range(outer_total)`` and :meth:`row_segments` decodes them.  Rows are
@@ -255,28 +255,40 @@ class CollapsedRange:
     def segments(self, flat_start: int, flat_end: int):
         """Decode flat chunk ``[flat_start, flat_end)`` into body-call ranges.
 
-        Yields one ``3 * ndim``-tuple of range parameters per maximal run of
-        the innermost dimension: every outer dimension pinned to a single
-        index, the innermost covering the run.  The executor calls the
-        original (un-collapsed) for method once per yielded tuple.
+        Yields ``3 * ndim``-tuples of range parameters: a partial head row
+        and a partial tail row (every outer dimension pinned, the innermost
+        covering the run), and between them the chunk's whole rows decoded
+        by :meth:`row_segments`, so a run of whole rows is one call (in 2-D
+        a chunk is at most three calls).  The executor calls the original
+        (un-collapsed) for method once per yielded tuple.
         """
+        if flat_start >= flat_end:
+            return
         inner = self.inner_count
-        flat = flat_start
-        while flat < flat_end:
-            outer, offset = divmod(flat, inner)
-            run = min(flat_end - flat, inner - offset)
-            params: list[int] = []
-            remaining = outer
-            ordinals: list[int] = []
-            for count in reversed(self.counts[:-1]):
-                remaining, ordinal = divmod(remaining, count)
-                ordinals.append(ordinal)
-            ordinals.reverse()
-            for dim, ordinal in enumerate(ordinals):
-                params.extend(self._pinned(dim, ordinal))
-            params.extend(self._sub_range(self.ndim - 1, offset, offset + run))
-            yield tuple(params)
-            flat += run
+        first_row, head = divmod(flat_start, inner)
+        last_row, tail = divmod(flat_end, inner)
+        if first_row == last_row:
+            yield self._row_run(first_row, head, tail)
+            return
+        if head:
+            yield self._row_run(first_row, head, inner)
+            first_row += 1
+        yield from self.row_segments(first_row, last_row)
+        if tail:
+            yield self._row_run(last_row, 0, tail)
+
+    def _row_run(self, row: int, lo: int, hi: int) -> "tuple[int, ...]":
+        """Range parameters of inner ordinals ``[lo, hi)`` of outer row ``row``."""
+        ordinals: list[int] = []
+        for count in reversed(self.counts[:-1]):
+            row, ordinal = divmod(row, count)
+            ordinals.append(ordinal)
+        ordinals.reverse()
+        params: list[int] = []
+        for dim, ordinal in enumerate(ordinals):
+            params.extend(self._pinned(dim, ordinal))
+        params.extend(self._sub_range(self.ndim - 1, lo, hi))
+        return tuple(params)
 
     def row_segments(self, unit_start: int, unit_end: int):
         """Decode a row-pinned chunk ``[unit_start, unit_end)`` of whole rows.

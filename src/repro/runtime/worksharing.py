@@ -107,9 +107,10 @@ def collapse_loop(
     its first ``3n`` parameters; the first triple arrives through the normal
     ``run_for`` range arguments and the remaining ``3 * (n - 1)`` lead
     ``args``.  Returns ``(flat_body, 0, units, 1, rest_args, crange)`` where
-    ``flat_body`` decodes each flat sub-range back into per-row calls of the
-    original method — so every scheduler, claim arena and the adaptive tuner
-    compose with collapse untouched, simply by working on the flat range.
+    ``flat_body`` decodes each flat sub-range back into rectangular calls of
+    the original method (:meth:`CollapsedRange.segments`) — so every
+    scheduler, claim arena and the adaptive tuner compose with collapse
+    untouched, simply by working on the flat range.
 
     With ``pin_rows`` the schedulable unit is a whole row (the innermost
     range with outer indices fixed) instead of a single index tuple.

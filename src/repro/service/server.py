@@ -68,6 +68,10 @@ class ComputeService:
             default_num_threads=self.config.num_threads,
         )
         self._server: "asyncio.base_events.Server | None" = None
+        #: live connection handlers and their writers; drain closes and awaits them.
+        self._connections: "dict[asyncio.Task, asyncio.StreamWriter]" = {}
+        #: tasks inside :meth:`drain` (a handler among them answers a drain op).
+        self._drain_callers: "set[asyncio.Task]" = set()
         self._collector = self.queue.gauge_samples
         self._metrics_port: "int | None" = None
         self._draining = False
@@ -102,11 +106,18 @@ class ComputeService:
         return self._metrics_port
 
     async def serve_forever(self) -> None:
-        """Serve until :meth:`drain` completes (the aomp_serve main loop)."""
+        """Serve until :meth:`drain` completes and every connection has closed."""
         await self._drained.wait()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
+            # Not in drain: from Python 3.12.1 this waits for every
+            # connection, including that of a client whose drain op is
+            # still being answered.
+            await self._server.wait_closed()
 
     async def drain(self) -> "dict[str, Any]":
         """Graceful shutdown: reject new work, finish in-flight, tear down."""
+        self._drain_callers.add(asyncio.current_task())
         if self._draining:
             await self._drained.wait()
             return {"drained": True, "forced_cancels": 0}
@@ -131,16 +142,30 @@ class ComputeService:
         if get_config().metrics:
             obsreg.unregister_collector(self._collector)
             obsreg.clear_gauge("aomp_service_workers")
-        if self._server is not None:
-            await self._server.wait_closed()
+        await self._close_connections()
         self._drained.set()
         return {"drained": True, "forced_cancels": forced}
 
     # -- connection handling -------------------------------------------------
 
+    async def _close_connections(self) -> None:
+        """Close every client connection and wait for its handler to finish.
+
+        A handler left running would be cancelled by the event loop's
+        teardown, which logs a ``CancelledError`` traceback.  Handlers that
+        asked for the drain are skipped: they still have to send the drain
+        response, and stop on their own once the drain has completed.
+        """
+        handlers = [task for task in self._connections if task not in self._drain_callers]
+        for task in handlers:
+            self._connections[task].close()
+        await asyncio.gather(*handlers, return_exceptions=True)
+
     async def _handle_client(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            while True:
+            while not self._drained.is_set():
                 try:
                     line = await reader.readline()
                 except (ConnectionError, asyncio.LimitOverrunError):
@@ -161,6 +186,7 @@ class ComputeService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._connections[task]
 
     async def _send(self, writer: asyncio.StreamWriter, payload: "dict[str, Any]") -> None:
         writer.write(json.dumps(payload).encode("utf-8") + b"\n")
@@ -296,9 +322,6 @@ class ServiceThread:
             return
         self._started.set()
         await self.service.serve_forever()
-        # One extra turn so a connection that *requested* the drain gets its
-        # response written before asyncio.run tears the loop down.
-        await asyncio.sleep(0.1)
 
     def start(self, timeout: float = 30.0) -> "tuple[str, int]":
         self._thread.start()

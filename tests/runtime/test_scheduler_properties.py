@@ -224,6 +224,50 @@ def test_collapse_every_tuple_visited_exactly_once(dims, schedule, chunk, num_th
     assert sorted(visited) == _expected_tuples(dims)
 
 
+@settings(max_examples=120, deadline=None)
+@given(dims=_dims_st, data=st.data())
+def test_collapse_chunk_decodes_in_order_with_few_body_calls(dims, data):
+    """A flat chunk decodes to its own tuples, in order, in few body calls.
+
+    Whole rows are handed over as one block, so a 2-D chunk is at most a
+    partial head row, one block of whole rows and a partial tail row.
+    """
+    crange = CollapsedRange(dims)
+    expected = list(itertools.product(*(range(s, e, st_) for s, e, st_ in dims)))
+    flat_start = data.draw(st.integers(0, crange.total))
+    flat_end = data.draw(st.integers(flat_start, crange.total))
+    calls = list(crange.segments(flat_start, flat_end))
+    decoded = [t for params in calls for t in _decode_segment_tuples(params)]
+    assert decoded == expected[flat_start:flat_end]
+    assert all(_decode_segment_tuples(params) for params in calls)  # no empty calls
+    if len(dims) == 2:
+        assert len(calls) <= 3
+
+
+def test_collapse_whole_rows_are_one_body_call_per_member():
+    """run_for(collapse=2): each member's static block costs at most 3 calls, not one per row."""
+    import threading
+
+    from repro.runtime.team import parallel_region
+    from repro.runtime.worksharing import run_for
+
+    rows, cols = 60, 7
+    calls = []
+    lock = threading.Lock()
+
+    def tile(r0, r1, rs, c0, c1, cs):
+        with lock:
+            calls.append((r0, r1, c0, c1))
+
+    def body():
+        run_for(tile, 0, rows, 1, 0, cols, 1, collapse=2, schedule="staticBlock")
+
+    parallel_region(body, num_threads=4, backend="threads")
+    assert len(calls) <= 3 * 4
+    covered = sorted((r, c) for r0, r1, c0, c1 in calls for r in range(r0, r1) for c in range(c0, c1))
+    assert covered == [(r, c) for r in range(rows) for c in range(cols)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     dims=_dims_st,

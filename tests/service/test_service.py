@@ -53,6 +53,13 @@ def client_for(thread: ServiceThread) -> ServiceClient:
     return ServiceClient(host, port, timeout=60.0)
 
 
+def _wait_until_running(client: ServiceClient, request_id: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while client.poll(request_id)["status"] != "running":
+        assert time.monotonic() < deadline, f"{request_id} never started running"
+        time.sleep(0.02)
+
+
 class TestProtocol:
     def test_ping_kernels_and_error_codes(self, service):
         thread = service()
@@ -122,12 +129,17 @@ class TestConcurrentClients:
             assert value == pytest.approx(KERNELS[kernel].reference("tiny")), kernel
 
     def test_coalesced_submissions_share_one_result(self, service):
-        thread = service()
+        # The only worker is busy with a blocker, so the leader is provably
+        # still queued when the follower submits.
+        thread = service(workers=1)
         with client_for(thread) as first, client_for(thread) as second:
+            blocker = first.submit("sleep", size="a", num_threads=2, coalesce=False)["id"]
+            _wait_until_running(first, blocker)
             leader = first.submit("series", size="tiny", num_threads=2)
             follower = second.submit("series", size="tiny", num_threads=2)
             assert follower["id"] == leader["id"]
             assert follower["coalesced"] is True
+            first.cancel(blocker)
             done = first.wait(leader["id"], timeout=60)
             assert done["status"] == "done"
             assert done["merged"] >= 1
@@ -241,6 +253,40 @@ class TestDrain:
         request = thread.service.queue.get(request_id)
         assert request is not None and request.state == "cancelled"
         self._assert_clean(thread)
+
+    def test_drain_with_a_connected_client_logs_no_traceback(self, service, caplog, capfd):
+        """drain closes and awaits open connection handlers itself.
+
+        Left to the event loop's teardown, a handler blocked reading from
+        an idle client is cancelled and asyncio logs a ``CancelledError``
+        traceback from ``_handle_client``.
+        """
+        thread = service()
+        with client_for(thread) as client:
+            for _ in range(3):
+                done = client.submit("series", size="tiny", num_threads=2, wait=True, timeout=60)
+                assert done["status"] == "done"
+            with caplog.at_level("DEBUG", logger="asyncio"):
+                assert thread.drain()["drained"] is True
+            assert not thread._thread.is_alive()
+            with pytest.raises(ConnectionError):
+                client.ping()  # the service closed its end
+        assert [r for r in caplog.records if r.levelno >= 40 or r.exc_info] == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_drain_op_answers_its_requester_before_shutdown(self, service, caplog):
+        """A client's drain op gets its response; other idle clients are closed."""
+        thread = service()
+        with client_for(thread) as requester, client_for(thread) as idle:
+            assert idle.ping()["pong"] is True
+            with caplog.at_level("DEBUG", logger="asyncio"):
+                response = requester.drain()
+                thread._thread.join(timeout=30)
+            assert response["drained"] is True
+            assert not thread._thread.is_alive()
+            with pytest.raises(ConnectionError):
+                idle.ping()
+        assert [r for r in caplog.records if r.levelno >= 40 or r.exc_info] == []
 
     def test_drain_rejects_new_submissions(self, service):
         thread = service()
