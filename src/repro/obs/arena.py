@@ -2,8 +2,8 @@
 
 A :class:`MetricsArena` gives every team member a disjoint range of int64
 cells — one per registry slot — in whatever storage the data plane provides
-(``multiprocessing`` shared memory for fork teams, an attached
-``SharedArray`` for subinterpreters, plain heap cells under a coordinator).
+(``multiprocessing`` shared memory for fork teams, plain heap cells under a
+coordinator).
 Because ranges are disjoint and each is written only by its own member's
 process, no lock is needed: the same design as
 :class:`~repro.runtime.shm.HeartbeatArena`.
@@ -40,7 +40,6 @@ class MetricsArena:
         *,
         slots: "int | None" = None,
         cells: Any = None,
-        fresh: bool = True,
     ) -> None:
         self.capacity = int(capacity)
         self.slots = int(slots) if slots is not None else _registry_slots()
@@ -50,8 +49,7 @@ class MetricsArena:
             ctx = shm._mp_context()
             cells = ctx.Array("q", self.capacity * self.slots, lock=False)
         self.cells = cells
-        if fresh:
-            self.reset()
+        self.reset()
 
     @staticmethod
     def cells_needed(capacity: int = DEFAULT_CAPACITY, slots: "int | None" = None) -> int:

@@ -17,12 +17,14 @@ The backend is a strategy object deciding *how* team members execute:
   thread-local reductions) transparently fall back to the thread backend via
   the :attr:`Backend.supports_shared_locals` capability flag, which the
   weaver and the worksharing layer consult.
-* :class:`~repro.runtime.subinterp.SubinterpreterBackend` (registered as
-  ``subinterp``) — runs team members in PEP-734 subinterpreters, one per
-  member, each with its own GIL: true multi-core parallelism without fork
-  or pickled data, using the same :mod:`repro.runtime.shm` data plane as
-  the process backend.  Requires CPython ≥ 3.12 with an interpreters
-  module; degrades to threads elsewhere.
+* :class:`~repro.runtime.distributed.DistributedBackend` (registered as
+  ``distributed``) — runs team members in spawned worker processes over the
+  socket data plane; no fork needed.
+
+The two isolated-heap backends share one fallback policy
+(:meth:`Backend.resolve_for_region`) and ship picklable region bodies to
+their workers as one region descriptor (:func:`region_descriptor`), which
+every worker runs through one member entry (:func:`run_shipped_member`).
 
 Capability flags describe what each backend can honour; the
 :attr:`Backend.true_parallel` flag additionally reports whether members can
@@ -38,6 +40,7 @@ of :func:`repro.runtime.team.parallel_region` (a backend instance or name).
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import signal
@@ -76,15 +79,22 @@ def gil_enabled() -> bool:
 
 
 class Backend:
-    """Interface for parallel-region execution backends."""
+    """Interface for parallel-region execution backends.
+
+    The fallback policy of the isolated-heap backends (processes,
+    distributed) lives here once: teams of one stay put, nested regions
+    become thread sub-teams inside the worker that spawned them, and regions
+    the backend cannot honour run on :attr:`fallback` with a one-time
+    warning naming the backend class.
+    """
 
     name = "abstract"
 
     #: Whether team members share one Python heap: mutations of ordinary
     #: Python objects made by one member are visible to the others.  Process
-    #: and subinterpreter backends set this to ``False``; constructs that
-    #: need shared locals (single/master broadcast, ordered, critical
-    #: sections, reductions) are routed to a fallback backend when it is
+    #: and distributed backends set this to ``False``; constructs that need
+    #: shared locals (single/master broadcast, ordered, critical sections,
+    #: reductions) are routed to the :attr:`fallback` backend when it is
     #: unset.
     supports_shared_locals = True
 
@@ -101,17 +111,29 @@ class Backend:
     #: loops sooner and a thread team is not charged a fork's price.
     spinup_cost_scale = 1.0
 
+    #: Seconds granted to workers beyond the barrier timeout before the
+    #: master declares them lost.
+    JOIN_GRACE = 30.0
+
     @property
     def true_parallel(self) -> bool:
         """Whether team members can execute Python bytecode simultaneously.
 
         ``False`` for GIL-bound threads (pure-Python bodies serialise even on
-        many cores); ``True`` for process teams, subinterpreter teams
-        (per-interpreter GIL) and threads on a live free-threaded build.
-        Consumers — the tuner's arbitration, the benchmark report — must ask
-        the *backend*, not assume thread ⇒ GIL-bound.
+        many cores); ``True`` for process teams and threads on a live
+        free-threaded build.  Consumers — the tuner's arbitration, the
+        benchmark report — must ask the *backend*, not assume thread ⇒
+        GIL-bound.
         """
         return False
+
+    @functools.cached_property
+    def fallback(self) -> "Backend | None":
+        """The thread backend running regions this backend cannot honour
+        (``None`` for backends whose members share one heap)."""
+        if self.supports_shared_locals:
+            return None
+        return ThreadBackend(name_prefix=f"aomp-{self.name}-fallback")
 
     def run_team(self, team: "Team", run_member: Callable[[int], Any], body: Callable[[], Any] | None = None) -> Any:
         """Execute ``run_member(thread_id)`` for every member of ``team``.
@@ -127,15 +149,56 @@ class Backend:
         """
         raise NotImplementedError
 
-    def resolve_for_region(self, *, size: int, nesting_level: int, requires_shared_locals: bool) -> "Backend":
-        """Return the backend that will actually execute the region.
+    def unavailable_reason(self) -> "str | None":
+        """Why this backend cannot run multi-member teams here, or ``None``."""
+        return None
 
-        The default backend honours every region; the process backend
-        delegates to its thread fallback for regions it cannot execute
-        faithfully (nested regions, regions whose constructs need a shared
-        Python heap).
-        """
+    def resolve_for_region(self, *, size: int, nesting_level: int, requires_shared_locals: bool) -> "Backend":
+        """Return the backend that will actually execute the region."""
+        if size <= 1 or self.supports_shared_locals:
+            return self
+        reason = self.unavailable_reason()
+        if reason is not None:
+            self._warn_once("platform", f"{reason}; using thread backend")
+            return self.fallback
+        if nesting_level > 0:
+            # Designed hierarchy, not a degradation: the isolated team forms
+            # the outer level and nested regions spawned inside its workers
+            # run as thread sub-teams within each worker (new workers could
+            # not share the enclosing team's heap or its synchronisation).
+            return self.fallback
+        if requires_shared_locals:
+            self._warn_once(
+                "shared-locals",
+                "region needs a shared Python heap (constructs like single/master "
+                "broadcast, ordered, critical or reductions — or a woven target whose "
+                "mutable state is not shared-memory backed / marked process_safe); "
+                "using thread backend",
+            )
+            return self.fallback
         return self
+
+    def _body_payload(self, body: Callable[[], Any] | None) -> bytes | None:
+        """Pickle ``body`` for a worker outside this heap, or ``None`` when ineligible.
+
+        Shipping a body copies its by-value state into the worker, where
+        mutations would be lost; only bound methods whose owner declares
+        itself ``process_safe`` (all mutable state in shared memory) are
+        eligible.
+        """
+        owner = getattr(body, "__self__", None)
+        if owner is None or not getattr(owner, "process_safe", False):
+            return None
+        try:
+            return pickle.dumps(body)
+        except Exception:
+            return None
+
+    def _warn_once(self, key: str, message: str) -> None:
+        warned = self.__dict__.setdefault("_warned_fallback", set())
+        if key not in warned:
+            warned.add(key)
+            warnings.warn(f"{type(self).__name__}: {message}", RuntimeWarning, stacklevel=3)
 
     def create_process_sync(self, size: int, body: Callable[[], Any] | None) -> "shm.ProcessSync | None":
         """Create cross-process team synchronisation, or ``None`` for in-process backends."""
@@ -275,59 +338,20 @@ class ProcessBackend(Backend):
         parallel wherever the backend can run at all (fork available)."""
         return shm.fork_available()
 
-    #: Seconds granted to workers beyond the barrier timeout before the
-    #: parent declares them lost.
-    JOIN_GRACE = 30.0
-
-    def __init__(
-        self,
-        fallback: Backend | None = None,
-        *,
-        pool_workers: int | None = None,
-        use_pool: bool = True,
-    ) -> None:
-        self._fallback = fallback if fallback is not None else ThreadBackend(name_prefix="aomp-proc-fallback")
+    def __init__(self) -> None:
         self._plane = ShmDataPlane()
-        self._pool_workers = pool_workers
-        self._use_pool = use_pool
         self._pool = None
         self._pool_lock = threading.Lock()
-        self._warned_fallback: set[str] = set()
-
-    @property
-    def fallback(self) -> Backend:
-        """The in-process backend used for regions processes cannot honour."""
-        return self._fallback
 
     # -- strategy hooks -------------------------------------------------------
 
-    def resolve_for_region(self, *, size: int, nesting_level: int, requires_shared_locals: bool) -> Backend:
-        if size <= 1:
-            return self
-        if not shm.fork_available():
-            self._warn_once("platform", "fork start method unavailable; using thread backend")
-            return self._fallback
-        if nesting_level > 0:
-            # Designed hierarchy, not a degradation: a process team forms the
-            # outer level and nested regions spawned inside its workers run as
-            # thread sub-teams within each worker process (new processes could
-            # not share the enclosing team's heap or its pre-forked arenas).
-            return self._fallback
-        if requires_shared_locals and not self.supports_shared_locals:
-            self._warn_once(
-                "shared-locals",
-                "region needs a shared Python heap (constructs like single/master "
-                "broadcast, ordered, critical or reductions — or a woven target whose "
-                "mutable state is not shared-memory backed / marked process_safe); "
-                "using thread backend",
-            )
-            return self._fallback
-        return self
+    def unavailable_reason(self) -> "str | None":
+        return None if shm.fork_available() else "fork start method unavailable"
 
     def create_process_sync(self, size: int, body: Callable[[], Any] | None) -> "shm.ProcessSync | None":
         if size <= 1 or not shm.fork_available():
             return None
-        body_bytes = self._pool_payload(body) if self._use_pool else None
+        body_bytes = self._body_payload(body)
         if body_bytes is not None and self._pool_lock.acquire(blocking=False):
             pool = self._ensure_pool(size - 1)
             if pool is not None:
@@ -357,7 +381,7 @@ class ProcessBackend(Backend):
     def run_team(self, team: "Team", run_member: Callable[[int], Any], body: Callable[[], Any] | None = None) -> Any:
         sync = team.process_sync
         if sync is None:
-            return self._fallback.run_team(team, run_member, body)
+            return self.fallback.run_team(team, run_member, body)
         if sync.pooled:
             return self._run_pooled(team, run_member, sync)
         return self._run_forked(team, run_member)
@@ -390,10 +414,7 @@ class ProcessBackend(Backend):
                 if worker.exitcode not in (None, 0)
             ]
 
-        sync = team.process_sync
-        monitor = faults.WorkerMonitor(
-            team, dead_workers, heartbeat=sync.heartbeat if sync is not None else None
-        )
+        monitor = faults.WorkerMonitor(team, dead_workers, heartbeat=team.process_sync.heartbeat)
         monitor.start()
         master_result: Any = None
         try:
@@ -403,11 +424,17 @@ class ProcessBackend(Backend):
             # (cross-process) barrier so workers fail fast.
             pass
         finally:
-            payloads = self._collect(
-                channel, workers, expected=team.size - 1, abort=team.abort, tripped=lambda: monitor.tripped
+            payloads = collect_member_payloads(
+                channel,
+                expected=team.size - 1,
+                alive=lambda: any(worker.is_alive() for worker in workers),
+                abort=team.abort,
+                timeout=shm.BARRIER_TIMEOUT + self.JOIN_GRACE,
+                accept=lambda item: (item[0], (item[1], item[2])),
+                tripped=lambda: monitor.tripped,
             )
             monitor.stop()
-            self._apply_payloads(team, payloads, deaths=monitor.deaths, stalled=monitor.stalled)
+            apply_member_payloads(team, payloads, deaths=monitor.deaths, stalled=monitor.stalled)
             # A failed region may leave a wedged worker behind (e.g. a member
             # stalled in a long sleep): don't wait out its sleep, reap it.
             failed = any(member.exception is not None for member in team.members)
@@ -421,7 +448,7 @@ class ProcessBackend(Backend):
     def _run_pooled(self, team: "Team", run_member: Callable[[int], Any], sync: "shm.ProcessSync") -> Any:
         pool = self._pool
         assert pool is not None
-        ticket = pool.submit_region(team, sync.body_bytes)  # type: ignore[attr-defined]
+        ticket = pool.submit_region(team, region_descriptor(team, sync.body_bytes))  # type: ignore[attr-defined]
         monitor = faults.WorkerMonitor(team, pool.dead_workers, heartbeat=pool.heartbeat)
         monitor.start()
         master_result: Any = None
@@ -431,31 +458,19 @@ class ProcessBackend(Backend):
             pass
         finally:
             payloads = pool.collect(
-                ticket, expected=team.size - 1, abort=team.abort, tripped=lambda: monitor.tripped
+                ticket,
+                expected=team.size - 1,
+                abort=team.abort,
+                timeout=shm.BARRIER_TIMEOUT + self.JOIN_GRACE,
+                tripped=lambda: monitor.tripped,
             )
             monitor.stop()
             if monitor.stalled:
                 pool.condemn()
-            self._apply_payloads(team, payloads, deaths=monitor.deaths, stalled=monitor.stalled)
+            apply_member_payloads(team, payloads, deaths=monitor.deaths, stalled=monitor.stalled)
         return master_result
 
-    # -- helpers --------------------------------------------------------------
-
-    def _pool_payload(self, body: Callable[[], Any] | None) -> bytes | None:
-        """Pickle ``body`` for pool dispatch, or ``None`` when ineligible.
-
-        Pool dispatch pickles the body, so by-value state would be *copied*
-        into workers and its mutations lost; only callables whose owner
-        explicitly declares itself ``process_safe`` (all mutable state in
-        shared memory) are eligible.  Everything else uses fork inheritance.
-        """
-        owner = getattr(body, "__self__", None)
-        if owner is None or not getattr(owner, "process_safe", False):
-            return None
-        try:
-            return pickle.dumps(body)
-        except Exception:
-            return None
+    # -- pool lifecycle -------------------------------------------------------
 
     def _ensure_pool(self, needed_workers: int):
         from repro.runtime.procpool import PersistentProcessPool
@@ -472,38 +487,12 @@ class ProcessBackend(Backend):
                 pool.shutdown()
                 pool = self._pool = None
         if pool is None:
-            default = self._pool_workers or max(needed_workers, (os.cpu_count() or 2) - 1)
             try:
-                pool = PersistentProcessPool(max(needed_workers, default))
+                pool = PersistentProcessPool(max(needed_workers, (os.cpu_count() or 2) - 1))
             except Exception:  # pragma: no cover - pool creation failure
                 return None
             self._pool = pool
         return pool
-
-    def _collect(
-        self,
-        channel,
-        workers,
-        *,
-        expected: int,
-        abort: Callable[[], None],
-        tripped: "Callable[[], bool] | None" = None,
-    ) -> dict:
-        """Drain member payloads, guarding against workers that died silently."""
-        return collect_member_payloads(
-            channel,
-            expected=expected,
-            alive=lambda: any(worker.is_alive() for worker in workers),
-            abort=abort,
-            timeout=shm.BARRIER_TIMEOUT + self.JOIN_GRACE,
-            accept=lambda item: (item[0], (item[1], item[2])),
-            tripped=tripped,
-        )
-
-    def _apply_payloads(
-        self, team: "Team", payloads: dict, deaths: "list | None" = None, stalled: "list | None" = None
-    ) -> None:
-        apply_member_payloads(team, payloads, deaths=deaths, stalled=stalled)
 
     def prewarm(self, workers: int) -> bool:
         """Spawn the persistent pool now so the first region finds it hot.
@@ -512,10 +501,10 @@ class ProcessBackend(Backend):
         private backend instance: pool construction *is* the warm-up (workers
         fork eagerly), so a prewarmed backend serves its first request
         without paying the spawn cost.  Returns whether a healthy pool is up
-        (``False`` when pooling is disabled or construction failed — regions
-        then fall back to fork-per-region exactly as before).
+        (``False`` when construction failed — regions then fall back to
+        fork-per-region exactly as before).
         """
-        if not self._use_pool or workers < 1:
+        if workers < 1:
             return False
         with self._pool_lock:
             pool = self._ensure_pool(workers)
@@ -524,7 +513,7 @@ class ProcessBackend(Backend):
     def condemn_pool(self) -> bool:
         """Condemn the live pool so an in-flight pooled region fails fast.
 
-        External cancellation hook (PR-7 machinery): marking the pool
+        External cancellation hook (fault-recovery machinery): marking the pool
         condemned makes ``collect()`` stop waiting on its workers, the region
         surfaces a :class:`BrokenTeamError`, and the *next* region rebuilds a
         fresh pool via ``_ensure_pool`` — the wedged team is torn down, not
@@ -542,11 +531,6 @@ class ProcessBackend(Backend):
             if self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
-
-    def _warn_once(self, key: str, message: str) -> None:
-        if key not in self._warned_fallback:
-            self._warned_fallback.add(key)
-            warnings.warn(f"ProcessBackend: {message}", RuntimeWarning, stacklevel=3)
 
 
 def apply_member_payloads(
@@ -720,6 +704,129 @@ def _decode_exception(payload: "bytes | str") -> BaseException:
 
 
 # ---------------------------------------------------------------------------
+# Shipped-body members: the persistent pool's forked workers and the socket
+# plane's spawned workers receive a region as one descriptor dict, built by
+# region_descriptor() on the master, and run it through run_shipped_member().
+# Each caller keeps only its transport: how the descriptor arrives, and how
+# the encoded (result, exception) pair goes back.
+# ---------------------------------------------------------------------------
+
+
+def _spmd_config_fields() -> dict:
+    """The master's configuration fields workers must mirror for SPMD agreement."""
+    from repro.runtime.config import get_config
+
+    config = get_config()
+    return {
+        "num_threads": config.num_threads,
+        "default_schedule": config.default_schedule,
+        "default_chunk": config.default_chunk,
+        "nested": config.nested,
+        "max_active_levels": config.max_active_levels,
+        # Workers must instrument iff the master does, and bucket layout must
+        # match the master's so flushed slot deltas mean the same thing.
+        "metrics": config.metrics,
+        "metrics_buckets": config.metrics_buckets,
+    }
+
+
+def _fault_fields() -> "tuple[str, int] | None":
+    """The master's installed fault plan as ``(spec, origin_pid)``, or ``None``."""
+    plan = faults.current_plan()
+    if plan is None:
+        return None
+    spec = ";".join(repr(rule) for rule in plan.rules)
+    if plan.seed is not None:
+        spec = f"{spec};seed:{plan.seed}" if spec else f"seed:{plan.seed}"
+    return spec, plan.origin_pid
+
+
+def region_descriptor(team: "Team", body_bytes: bytes) -> dict:
+    """Everything a worker outside the master's heap needs to run a member of ``team``.
+
+    The live SPMD configuration and fault plan travel with every region, so
+    a long-lived worker never acts on the settings it was started under.
+    """
+    return {
+        "size": team.size,
+        "region_id": team.region_id,
+        "name": team.name,
+        "nesting_level": team.nesting_level,
+        "fault_region": team.fault_region,
+        "backend": team.backend_name,
+        "body": body_bytes,
+        "config": _spmd_config_fields(),
+        "faults": _fault_fields(),
+    }
+
+
+def _install_fault_plan(shipped: "tuple[str, int] | None") -> None:
+    """Arm this worker with the master's fault plan (or disarm explicitly).
+
+    The plan is shipped as its round-trippable rule spec plus the *master's*
+    pid as ``origin_pid`` — freshly parsing here would stamp the worker's own
+    pid and silently downgrade every ``kill`` to an in-process exception.
+    Shipping ``None`` still disarms explicitly, so a worker never acts on a
+    plan it inherited or resolved from ``AOMP_FAULTS`` on its own.
+    """
+    if shipped is None:
+        faults.set_fault_plan(None)
+        return
+    spec, origin_pid = shipped
+    plan = faults.parse_fault_spec(spec)
+    plan.origin_pid = origin_pid
+    faults.set_fault_plan(plan)
+
+
+def run_shipped_member(descriptor: dict, member: int, sync: "shm.ProcessSync") -> "tuple[bytes | None, Any]":
+    """Run member ``member`` of the region ``descriptor`` describes, in this worker.
+
+    Rebuilds the team over ``sync`` under the master's SPMD configuration
+    (nested regions run as untraced thread sub-teams), claims the member's
+    heartbeat cell, fires the member fault site and runs the unpickled body.
+    A failing member aborts the team barrier so its siblings fail fast.
+    Returns the encoded ``(result, exception)`` pair for the caller to ship.
+    """
+    from repro.runtime import context as ctx
+    from repro.runtime.config import config_override
+    from repro.runtime.team import Team
+
+    _install_fault_plan(descriptor["faults"])
+    try:
+        body = pickle.loads(descriptor["body"])
+        with config_override(tracing=False, backend="threads", **descriptor["config"]):
+            team = Team(
+                descriptor["size"],
+                region_id=descriptor["region_id"],
+                name=descriptor["name"],
+                nesting_level=descriptor["nesting_level"],
+                process_sync=sync,
+            )
+            team.fault_region = descriptor["fault_region"]
+            team.backend_name = descriptor["backend"]
+            if sync.heartbeat is not None:
+                # Workers take members per region: the heartbeat cell is how
+                # the master maps this process back to the member it ran.
+                sync.heartbeat.register(member)
+            ctx.push_context(ctx.ExecutionContext(team=team, thread_id=member, nesting_level=team.nesting_level))
+            try:
+                if faults.active():
+                    # Worker pid != the plan's origin pid, so an injected
+                    # "kill" is a real SIGKILL of this worker.
+                    faults.fire("member", member=member, region=team.fault_region, backend=team.backend_name, team=team)
+                result = body()
+            finally:
+                ctx.pop_context()
+    except BaseException as exc:  # noqa: BLE001 - shipped to the master
+        try:
+            sync.barrier.abort()
+        except Exception:
+            pass  # a socket member whose connection is gone: the loss path reports it
+        return None, _encode_exception(exc)
+    return _encode_result(result), None
+
+
+# ---------------------------------------------------------------------------
 # Backend registry and selection
 # ---------------------------------------------------------------------------
 
@@ -737,10 +844,6 @@ _BACKEND_ALIASES = {
     "processes": "processes",
     "proc": "processes",
     "multiprocessing": "processes",
-    "subinterp": "subinterp",
-    "subinterpreter": "subinterp",
-    "subinterpreters": "subinterp",
-    "interpreters": "subinterp",
 }
 _named_instances: Dict[str, Backend] = {}
 
@@ -754,20 +857,9 @@ def register_backend(name: str, factory: Callable[[], Backend], *, aliases: tupl
     _named_instances.pop(name, None)
 
 
-def _subinterpreter_backend() -> Backend:
-    # Imported lazily: subinterp.py imports this module for the Backend base
-    # class, so a module-level import would be circular.  The backend is
-    # registered unconditionally — on interpreters without PEP-734 support
-    # its resolve_for_region degrades to the thread fallback with a warning,
-    # so ``AOMP_BACKEND=subinterp`` stays a safe setting everywhere.
-    from repro.runtime.subinterp import SubinterpreterBackend
-
-    return SubinterpreterBackend()
-
-
 def _distributed_backend() -> Backend:
-    # Lazily imported for the same circularity reason as the subinterpreter
-    # backend: distributed.py needs the Backend base class from this module.
+    # Imported lazily: distributed.py imports this module for the Backend
+    # base class, so a module-level import would be circular.
     from repro.runtime.distributed import DistributedBackend
 
     return DistributedBackend()
@@ -776,7 +868,6 @@ def _distributed_backend() -> Backend:
 register_backend("serial", SerialBackend)
 register_backend("threads", ThreadBackend)
 register_backend("processes", ProcessBackend)
-register_backend("subinterp", _subinterpreter_backend)
 register_backend("distributed", _distributed_backend, aliases=("dist", "sockets", "socket"))
 
 

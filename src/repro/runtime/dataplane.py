@@ -20,8 +20,8 @@ runtime one.  This module separates the two:
 * :class:`SocketDataPlane` — a message-passing plane for members in
   *independent* (non-forked, possibly remote-capable) processes.  A
   :class:`Coordinator` in the master process hosts the **real** arena
-  instances over plain heap cells (the ``cells=``/``lock=`` pluggability
-  the subinterpreter backend introduced) and serves claim / barrier /
+  instances over plain heap cells (the arenas' ``cells=``/``lock=``
+  storage pluggability) and serves claim / barrier /
   heartbeat RPCs over length-prefixed TCP on localhost.  Workers hold
   duck-typed proxies; the master, living in the coordinator's process,
   uses the arenas directly and pays zero round-trips.  Claim *policy*
@@ -509,7 +509,7 @@ class WorkerSession:
         self._lock = threading.Lock()
         self._arrays: "dict[str, RemoteArray]" = {}
         #: one-predicate metrics guard for the RPC hot path; ``_worker_main``
-        #: refreshes it once the master's config override is in effect.
+        #: sets it from the master's configuration in the region descriptor.
         self.metrics = get_config().metrics
         try:
             with self._lock:

@@ -28,7 +28,7 @@ schedules are pure functions of the member id and cost **zero** messages;
 dynamic/guided claims go through the batched ``_claim_batch`` /
 ``guided_claim_batch`` shapes (one RPC claims many chunks); taskloop
 steals ride the same per-tile RPCs the shm deck uses per-lock-round-trip.
-Eligibility matches the pool/subinterpreter contract: only picklable
+Eligibility matches the persistent pool's contract: only picklable
 ``process_safe`` SPMD bodies can cross the wire; everything else runs on
 the thread fallback.
 """
@@ -36,12 +36,10 @@ the thread fallback.
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
 import threading
 import time
-import warnings
 import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -49,9 +47,10 @@ from repro.runtime import dataplane, faults, shm
 from repro.runtime.barrier import _default_barrier_timeout
 from repro.runtime.backend import (
     Backend,
-    ThreadBackend,
     apply_member_payloads,
     collect_member_payloads,
+    region_descriptor,
+    run_shipped_member,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,114 +108,33 @@ def _worker_loop() -> None:
 def _worker_main(host: str, port: int, token: str, member: int) -> None:
     """Execute one team member in a spawned worker process.
 
-    Mirrors the subinterpreter backend's ``_member_main``: connect and
-    handshake (the hello response carries the region descriptor), rebuild
-    the team over proxy synchronisation, run the unpickled body under the
-    master's SPMD configuration, and ship the encoded result or exception
-    back as the connection's final ``result`` frame.
+    Connect and handshake (the hello response carries the region
+    descriptor), run the member over proxy synchronisation, and ship the
+    encoded result or exception back as the connection's final ``result``
+    frame.
     """
     import repro.obs.registry as obsreg
     from repro.obs.exposition import suppress_exporter
-    from repro.runtime import context as ctx
-    from repro.runtime.backend import _encode_exception, _encode_result
-    from repro.runtime.config import config_override
-    from repro.runtime.team import Team
 
     # Only the master aggregates team-wide counts; a worker must never race
     # it for the scrape port.
     suppress_exporter()
     session = dataplane.WorkerSession(host, port, token, member)
-    descriptor = session.descriptor
-    _install_fault_plan(descriptor)
-    sync = None
     try:
-        sync = dataplane.worker_process_sync(session, int(descriptor["size"]))
-        body = pickle.loads(descriptor["body"])
-        team = Team(
-            int(descriptor["size"]),
-            region_id=int(descriptor["region_id"]),
-            name=descriptor["name"],
-            nesting_level=int(descriptor["nesting_level"]),
-            process_sync=sync,
-        )
-        team.fault_region = int(descriptor.get("fault_region", 0))
-        team.backend_name = "distributed"
-        if sync.heartbeat is not None:
-            sync.heartbeat.register(member)
-        with config_override(tracing=False, backend="threads", **descriptor["config"]):
-            from repro.runtime.config import get_config
-
-            # The Team above was built under this worker's inherited config;
-            # the master's live metrics flag arrives with the descriptor.
-            session.metrics = team.metrics = get_config().metrics
-            frame = ctx.ExecutionContext(
-                team=team, thread_id=member, nesting_level=int(descriptor["nesting_level"])
-            )
-            ctx.push_context(frame)
-            try:
-                if faults.active():
-                    # Unlike pool/subinterpreter members, a distributed member
-                    # has its own pid != the plan's (master) origin_pid, so an
-                    # injected "kill" is a real SIGKILL — the connection drops
-                    # and the coordinator's loss path takes over.
-                    faults.fire(
-                        "member",
-                        member=member,
-                        region=team.fault_region,
-                        backend="distributed",
-                        team=team,
-                    )
-                result = body()
-            finally:
-                ctx.pop_context()
-    except BaseException as exc:  # noqa: BLE001 - shipped to the master
-        if sync is not None:
-            try:
-                sync.barrier.abort()
-            except Exception:
-                pass  # connection already gone; the loss path reports us
-        payload = (None, _encode_exception(exc))
-    else:
-        payload = (_encode_result(result), None)
-    try:
+        descriptor = session.descriptor
+        # The RPC hot path instruments iff the master does.
+        session.metrics = descriptor["config"]["metrics"]
+        sync = dataplane.worker_process_sync(session, descriptor["size"])
+        result, exc = run_shipped_member(descriptor, member, sync)
         session.flush_arrays()
         # Final flush rides the result frame: counts accumulated since the
         # last barrier piggyback (including the barrier RPCs themselves).
         # Drained even when not shipped, so a warm worker carries no counts
         # into its next region.
         delta = obsreg.flush_delta()
-        session.call("result", member, payload[0], payload[1], delta if session.metrics else None)
+        session.call("result", member, result, exc, delta if session.metrics else None)
     finally:
         session.close()
-
-
-def _install_fault_plan(descriptor: dict) -> None:
-    """Arm this worker with the master's fault plan (or disarm explicitly).
-
-    The plan is shipped as its round-trippable rule spec plus the *master's*
-    pid as ``origin_pid`` — freshly parsing here would stamp the worker's own
-    pid and silently downgrade every ``kill`` to an in-process exception.
-    Shipping ``None`` still disarms explicitly, so a worker never resolves
-    ``AOMP_FAULTS`` on its own with the wrong origin.
-    """
-    spec, origin_pid = descriptor.get("faults") or (None, None)
-    if spec:
-        plan = faults.parse_fault_spec(spec)
-        plan.origin_pid = origin_pid
-        faults.set_fault_plan(plan)
-    else:
-        faults.set_fault_plan(None)
-
-
-def _fault_fields() -> "tuple[str, int] | None":
-    """Serialise the master's installed fault plan for the region descriptor."""
-    plan = faults.current_plan()
-    if plan is None:
-        return None
-    spec = ";".join(repr(rule) for rule in plan.rules)
-    if plan.seed is not None:
-        spec = f"{spec};seed:{plan.seed}" if spec else f"seed:{plan.seed}"
-    return spec, plan.origin_pid
 
 
 # ---------------------------------------------------------------------------
@@ -262,25 +180,14 @@ class DistributedBackend(Backend):
     #: cost of a cold region; warm regions are far cheaper.
     spinup_cost_scale = 8.0
 
-    #: seconds granted to workers beyond the barrier timeout before the
-    #: master declares them lost.
-    JOIN_GRACE = 30.0
-
-    def __init__(self, fallback: "Backend | None" = None) -> None:
-        self._fallback = fallback if fallback is not None else ThreadBackend(name_prefix="aomp-dist-fallback")
+    def __init__(self) -> None:
         self._plane = dataplane.SocketDataPlane()
-        self._warned_fallback: set[str] = set()
         #: warm workers between regions; mutated in place so the finalizer
         #: below retires whatever it holds when the backend is collected.
         self._idle: "list[subprocess.Popen]" = []
         self._idle_lock = threading.Lock()
         self._largest = 0  # most workers one region (or prewarm) has needed
         weakref.finalize(self, _retire, self._idle, kill=False)
-
-    @property
-    def fallback(self) -> Backend:
-        """The in-process backend used for regions sockets cannot honour."""
-        return self._fallback
 
     @property
     def plane(self) -> dataplane.SocketDataPlane:
@@ -293,23 +200,6 @@ class DistributedBackend(Backend):
         return True
 
     # -- strategy hooks -------------------------------------------------------
-
-    def resolve_for_region(self, *, size: int, nesting_level: int, requires_shared_locals: bool) -> Backend:
-        if size <= 1:
-            return self
-        if nesting_level > 0:
-            # Same designed hierarchy as the other external-member backends:
-            # the distributed team forms the outer level; nested regions
-            # inside a worker run as thread sub-teams within that process.
-            return self._fallback
-        if requires_shared_locals:
-            self._warn_once(
-                "shared-locals",
-                "region needs a shared Python heap (single/master broadcast, ordered, "
-                "critical or reductions); using thread backend",
-            )
-            return self._fallback
-        return self
 
     def create_process_sync(self, size: int, body: "Callable[[], Any] | None") -> "shm.ProcessSync | None":
         if size <= 1:
@@ -337,21 +227,9 @@ class DistributedBackend(Backend):
     def run_team(self, team: "Team", run_member: Callable[[int], Any], body: "Callable[[], Any] | None" = None) -> Any:
         sync = team.process_sync
         if sync is None:
-            return self._fallback.run_team(team, run_member, body)
+            return self.fallback.run_team(team, run_member, body)
         coordinator: dataplane.Coordinator = sync.coordinator  # type: ignore[attr-defined]
-
-        from repro.runtime.subinterp import _spmd_config_fields
-
-        coordinator.descriptor = {
-            "size": team.size,
-            "region_id": team.region_id,
-            "name": team.name,
-            "nesting_level": team.nesting_level,
-            "fault_region": team.fault_region,
-            "body": sync.body_bytes,  # type: ignore[attr-defined]
-            "config": _spmd_config_fields(),
-            "faults": _fault_fields(),
-        }
+        coordinator.descriptor = region_descriptor(team, sync.body_bytes)  # type: ignore[attr-defined]
 
         members = [member.thread_id for member in team.members[1:]]
         workers = dict(zip(members, self._acquire(len(members))))
@@ -467,26 +345,3 @@ class DistributedBackend(Backend):
             surplus = self._idle[self._largest :]
             del self._idle[self._largest :]
         _retire(surplus, kill=False)
-
-    # -- helpers --------------------------------------------------------------
-
-    def _body_payload(self, body: "Callable[[], Any] | None") -> "bytes | None":
-        """Pickle ``body`` for the wire, or ``None`` when ineligible.
-
-        Same contract as the pool and subinterpreter backends: crossing the
-        boundary copies by-value state, so only callables whose owner
-        declares itself ``process_safe`` (all mutable state in shared
-        memory — here, mirrored shared memory) are eligible.
-        """
-        owner = getattr(body, "__self__", None)
-        if owner is None or not getattr(owner, "process_safe", False):
-            return None
-        try:
-            return pickle.dumps(body)
-        except Exception:
-            return None
-
-    def _warn_once(self, key: str, message: str) -> None:
-        if key not in self._warned_fallback:
-            self._warned_fallback.add(key)
-            warnings.warn(f"DistributedBackend: {message}", RuntimeWarning, stacklevel=3)

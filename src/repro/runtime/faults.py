@@ -18,8 +18,8 @@ A spec is a ``;``-separated list of rules, each ``action:key=value,...``:
 
 ===========  ================================================================
 ``kill``     SIGKILL the member's worker process.  *Backend-aware*: when the
-             member shares the master's process (threads, subinterpreters,
-             serial — or the master itself), a real SIGKILL would take down
+             member shares the master's process (threads, serial — or the
+             master itself), a real SIGKILL would take down
              the whole program, so the action degrades to raising
              :class:`~repro.runtime.exceptions.InjectedFault` instead.
 ``raise``    Raise :class:`InjectedFault` in the member.
@@ -183,7 +183,7 @@ class FaultPlan:
     deterministic regardless of how members interleave.  The plan also owns
     the region occurrence counter that ``region=N`` selectors match against
     (stamped on each team as ``fault_region`` and shipped to worker
-    processes/interpreters with the region descriptor).
+    processes with the region descriptor).
     """
 
     def __init__(self, rules: Iterable[FaultRule], *, seed: "int | None" = None) -> None:
@@ -215,7 +215,7 @@ class FaultPlan:
 
         ``kill`` sends a real SIGKILL only when the calling member runs in a
         *different process* than the one that created the plan; in-process
-        members (threads, subinterpreters, the master) raise
+        members (threads, the master) raise
         :class:`InjectedFault` instead so the program under test survives.
         """
         with self._lock:
@@ -367,10 +367,11 @@ def current_plan() -> "FaultPlan | None":
 def set_fault_plan(plan: "FaultPlan | None") -> "FaultPlan | None":
     """Install ``plan`` (``None`` disarms injection); returns the previous plan.
 
-    Tests install parsed plans directly instead of mutating the environment;
-    worker *processes* inherit the parent's installed plan through fork,
-    while pool workers forked before the plan existed fall back to their own
-    ``AOMP_FAULTS`` resolution.
+    Tests install parsed plans directly instead of mutating the environment.
+    The plan reaches every member, whenever it was installed: fork-per-region
+    children inherit it, and pool and socket-plane workers install the copy
+    shipped in each region's descriptor (see
+    :func:`repro.runtime.backend.region_descriptor`).
     """
     global _plan, _resolved
     with _state_lock:

@@ -16,12 +16,11 @@ fork-per-region path instead.
 from __future__ import annotations
 
 import itertools
-import pickle
 from typing import Any, Callable, Dict, Tuple
 
 import repro.obs.registry as obsreg
-from repro.runtime import faults, shm
-from repro.runtime.backend import _encode_exception, _encode_result
+from repro.runtime import shm
+from repro.runtime.backend import run_shipped_member
 from repro.runtime.config import get_config
 from repro.runtime.dataplane import ShmDataPlane
 
@@ -30,17 +29,8 @@ _STOP = None
 
 
 def _pool_worker(task_queue, result_queue, sync: "shm.ProcessSync") -> None:
-    """Worker loop: execute one team member per task message.
-
-    Runs in a forked child; imports are deferred so the module can be
-    imported by :mod:`repro.runtime.backend` without a circular import.
-    """
-    import repro.obs.registry as obsreg
+    """Worker loop: run one shipped team member per task message."""
     from repro.obs.exposition import suppress_exporter
-    from repro.runtime import context as ctx
-    from repro.runtime.team import Team
-
-    from repro.runtime.config import config_override, get_config
 
     # Pool workers never serve scrapes: only the master holds the team-wide
     # aggregated counts (and the inherited exporter state must stay dormant).
@@ -49,56 +39,17 @@ def _pool_worker(task_queue, result_queue, sync: "shm.ProcessSync") -> None:
         task = task_queue.get()
         if task is _STOP:
             break
-        ticket, thread_id, size, nesting_level, region_id, name, fault_region, cfg, body_bytes = task
-        try:
-            body = pickle.loads(body_bytes)
-            team = Team(
-                size,
-                region_id=region_id,
-                name=name,
-                nesting_level=nesting_level,
-                process_sync=sync,
-            )
-            team.fault_region = fault_region
-            team.backend_name = "processes"
-            if sync.heartbeat is not None:
-                # Pool workers pick members per region: the heartbeat cell is
-                # how the master maps this process back to the member it ran.
-                sync.heartbeat.register(thread_id)
-            frame = ctx.ExecutionContext(team=team, thread_id=thread_id, nesting_level=nesting_level)
-            ctx.push_context(frame)
-            try:
-                if faults.active():
-                    faults.fire(
-                        "member", member=thread_id, region=fault_region, backend="processes", team=team
-                    )
-                # Long-lived workers keep the config captured when the pool
-                # forked; the region's *current* schedule/nesting settings
-                # travel in the task message so master and workers always
-                # partition loops identically (a stale default_schedule here
-                # silently corrupts work-shared results).
-                with config_override(**cfg):
-                    # The Team above was built under the worker's inherited
-                    # config; the region's live metrics flag travels in cfg.
-                    team.metrics = get_config().metrics
-                    result = body()
-            finally:
-                ctx.pop_context()
-                # Pool members execute the body directly (not run_member), so
-                # the team-wide aggregation flush must happen here, before
-                # the result frame signals completion to the master.
-                if team.metrics and sync.metrics is not None:
-                    sync.metrics.flush_member(thread_id, obsreg.flush_delta())
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            # Release siblings blocked in the team barrier, then report.
-            sync.barrier.abort()
-            payload = (ticket, thread_id, None, _encode_exception(exc))
-        else:
-            payload = (ticket, thread_id, _encode_result(result), None)
+        ticket, member, descriptor = task
+        result, exc = run_shipped_member(descriptor, member, sync)
+        # Pool members run the body directly (not run_member), so the
+        # team-wide aggregation flush happens here, before the result frame
+        # signals completion to the master.
+        if descriptor["config"]["metrics"] and sync.metrics is not None:
+            sync.metrics.flush_member(member, obsreg.flush_delta())
         # The task's segments were attached for its body alone; a worker that
         # kept them mapped would pin every unlinked region's pages.
         shm.detach_all()
-        result_queue.put(payload)
+        result_queue.put((ticket, member, result, exc))
 
 
 class PersistentProcessPool:
@@ -164,26 +115,11 @@ class PersistentProcessPool:
             # leak into the next region's drain.
             self._sync.metrics.reset()
 
-    def submit_region(self, team, body_bytes: bytes) -> int:
+    def submit_region(self, team, descriptor: dict) -> int:
         """Dispatch one task per non-master member; returns the region ticket."""
-        from repro.runtime.subinterp import _spmd_config_fields
-
         ticket = next(self._tickets)
-        cfg = _spmd_config_fields()
         for member in team.members[1:]:
-            self._tasks.put(
-                (
-                    ticket,
-                    member.thread_id,
-                    team.size,
-                    team.nesting_level,
-                    team.region_id,
-                    team.name,
-                    team.fault_region,
-                    cfg,
-                    body_bytes,
-                )
-            )
+            self._tasks.put((ticket, member.thread_id, descriptor))
         return ticket
 
     def dead_workers(self) -> "list[tuple[int | None, int | None, int | None]]":
@@ -284,7 +220,7 @@ class PersistentProcessPool:
         *,
         expected: int,
         abort: Callable[[], None],
-        timeout: float | None = None,
+        timeout: float,
         tripped: "Callable[[], bool] | None" = None,
     ) -> Dict[int, Tuple[Any, Any]]:
         """Gather ``expected`` member payloads for ``ticket``.
@@ -306,7 +242,7 @@ class PersistentProcessPool:
             expected=expected,
             alive=lambda: self.healthy,
             abort=abort,
-            timeout=timeout if timeout is not None else shm.BARRIER_TIMEOUT + 30.0,
+            timeout=timeout,
             accept=lambda item: (item[1], (item[2], item[3])) if item[0] == ticket else None,
             on_give_up=give_up,
             tripped=tripped,

@@ -44,13 +44,9 @@ changed away from fork), degrades to the thread backend where fork is
 missing, and components that cannot degrade — the persistent pool — fail
 loudly through :func:`require_fork`.
 
-The *subinterpreter* backend (:mod:`repro.runtime.subinterp`) reuses this
-module as its data plane with one twist: ``multiprocessing`` locks and
-condition variables cannot cross an interpreter boundary, so it builds the
-same arenas over :class:`SharedArray` cell storage guarded by
-:class:`PipeLock` (an OS-pipe token mutex — file descriptors are plain ints,
-valid in every interpreter of the process) and uses the polling
-:class:`InterpBarrier` instead of :class:`SharedBarrier`.
+The arenas' storage is pluggable (``cells=``/``lock=``): the socket data
+plane's coordinator builds the same arenas over plain heap cells guarded by
+``threading`` locks (see :mod:`repro.runtime.dataplane`).
 """
 
 from __future__ import annotations
@@ -98,8 +94,8 @@ def require_fork(component: str) -> None:
             "workers by address-space inheritance; spawn/forkserver would "
             "re-import and pickle instead), "
             f"but this platform only offers: {', '.join(multiprocessing.get_all_start_methods())}. "
-            "Use the threads or subinterp backend here, or the distributed "
-            "backend (socket data plane), which does not fork."
+            "Use the threads or distributed backend here (the distributed "
+            "backend's socket data plane does not fork)."
         )
 
 
@@ -435,9 +431,8 @@ class HeartbeatArena:
     detection (``AOMP_HEARTBEAT_TIMEOUT``); the arrival counter feeds
     "which members had arrived" barrier-failure diagnostics.
 
-    Like the other arenas, storage is pluggable: the subinterpreter backend
-    passes a :class:`SharedArray` int64 view via ``cells=`` (with
-    ``fresh=False`` on the attaching side).
+    Like the other arenas, storage is pluggable: the socket plane's
+    coordinator passes plain heap cells via ``cells=``.
     """
 
     _PID, _BEAT, _ARRIVALS = range(3)
@@ -445,7 +440,7 @@ class HeartbeatArena:
     CELLS_PER_MEMBER = 3
     DEFAULT_CAPACITY = 64
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, *, cells: Any = None, fresh: bool = True) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, *, cells: Any = None) -> None:
         if capacity < 1:
             raise ValueError(f"heartbeat arena needs at least 1 member slot, got {capacity}")
         if cells is None:
@@ -453,8 +448,7 @@ class HeartbeatArena:
             cells = ctx.Array("q", self.CELLS_PER_MEMBER * capacity, lock=False)
         self.capacity = capacity
         self._cells = cells
-        if fresh:
-            self.reset()
+        self.reset()
 
     @property
     def cells(self) -> Any:
@@ -469,7 +463,7 @@ class HeartbeatArena:
     def register(self, member: int, pid: "int | None" = None) -> None:
         """Record the owner of ``member``'s slot.
 
-        ``pid`` defaults to the calling process — the fork/subinterp planes
+        ``pid`` defaults to the calling process — members on the shm plane
         register in-process — but the socket plane's coordinator registers on
         a remote worker's behalf and passes the pid from its hello frame.
         """
@@ -522,146 +516,6 @@ class HeartbeatArena:
         return None
 
 
-class PipeLock:
-    """A mutex built on an OS pipe holding a single token byte.
-
-    ``multiprocessing`` locks are Python objects and cannot cross a
-    subinterpreter boundary; file descriptors are process-wide integers valid
-    in *every* interpreter of the process (and, inherited across ``fork``, in
-    child processes too).  ``acquire`` blocks in ``os.read`` until the token
-    byte is available; ``release`` writes it back.  Not reentrant — exactly
-    like the ``multiprocessing`` locks it substitutes for, which the arenas
-    never nest.
-    """
-
-    __slots__ = ("_read_fd", "_write_fd", "_owner")
-
-    def __init__(self, fds: "tuple[int, int] | None" = None) -> None:
-        if fds is None:
-            self._read_fd, self._write_fd = os.pipe()
-            os.write(self._write_fd, b"\x00")  # seed the token: lock starts free
-            self._owner = True
-        else:
-            self._read_fd, self._write_fd = fds
-            self._owner = False
-
-    @property
-    def fds(self) -> "tuple[int, int]":
-        """The ``(read, write)`` descriptor pair — the lock's shareable identity."""
-        return (self._read_fd, self._write_fd)
-
-    def acquire(self) -> None:
-        os.read(self._read_fd, 1)
-
-    def release(self) -> None:
-        os.write(self._write_fd, b"\x00")
-
-    def __enter__(self) -> "PipeLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def close(self) -> None:
-        """Close the pipe (creator only: fds are shared by every attached party)."""
-        if self._owner:
-            self._owner = False
-            os.close(self._read_fd)
-            os.close(self._write_fd)
-
-
-class InterpBarrier:
-    """A cyclic barrier over :class:`SharedArray` cells and a :class:`PipeLock`.
-
-    The polling twin of :class:`SharedBarrier` for teams whose members cannot
-    share a ``multiprocessing`` condition variable (subinterpreters).  State
-    layout and semantics (``wait``/``abort``/``reset``/``parties``/``broken``)
-    are identical; waiters poll the generation counter instead of sleeping on
-    a condvar, with the same cadence the tune-plan slots already use.
-    """
-
-    _COUNT, _GENERATION, _BROKEN, _PARTIES = range(4)
-    CELLS = 4
-    POLL_INTERVAL = 0.0002
-
-    def __init__(
-        self,
-        parties: "int | None" = None,
-        *,
-        cells: Any = None,
-        lock: Any = None,
-        timeout: float = BARRIER_TIMEOUT,
-    ) -> None:
-        if cells is None:
-            if parties is None or parties < 1:
-                raise ValueError(f"barrier needs at least 1 party, got {parties}")
-            cells = SharedArray.zeros(self.CELLS, np.int64)
-            lock = PipeLock()
-            cells[self._PARTIES] = parties
-        elif lock is None:
-            raise ValueError("external cells need an external lock")
-        self._cells = cells
-        self._lock = lock
-        self._timeout = timeout
-
-    @property
-    def parties(self) -> int:
-        return int(self._cells[self._PARTIES])
-
-    @property
-    def broken(self) -> bool:
-        with self._lock:
-            return bool(self._cells[self._BROKEN])
-
-    def wait(self, timeout: Optional[float] = None) -> int:
-        """Block until all parties arrive; raises :class:`BrokenBarrierError` on abort/timeout."""
-        limit = timeout if timeout is not None else self._timeout
-        cells = self._cells
-        with self._lock:
-            if cells[self._BROKEN]:
-                raise BrokenBarrierError("barrier is broken")
-            generation = int(cells[self._GENERATION])
-            index = int(cells[self._PARTIES]) - 1 - int(cells[self._COUNT])
-            cells[self._COUNT] += 1
-            if cells[self._COUNT] == cells[self._PARTIES]:
-                cells[self._COUNT] = 0
-                cells[self._GENERATION] += 1
-                return index
-        deadline = time.monotonic() + limit
-        while True:
-            with self._lock:
-                if cells[self._BROKEN]:
-                    raise BrokenBarrierError("barrier is broken")
-                if cells[self._GENERATION] != generation:
-                    return index
-                if time.monotonic() > deadline:
-                    cells[self._BROKEN] = 1
-                    raise BrokenBarrierError(
-                        f"barrier wait timed out after {limit:g}s "
-                        f"({int(cells[self._COUNT])} of {int(cells[self._PARTIES])} parties arrived) "
-                        "[shm data plane, pipe-lock polling barrier]"
-                    )
-            time.sleep(self.POLL_INTERVAL)
-
-    def abort(self) -> None:
-        """Break the barrier, releasing all waiters with an error."""
-        with self._lock:
-            self._cells[self._BROKEN] = 1
-
-    def reset(self, parties: Optional[int] = None) -> None:
-        """Restore the barrier to a fresh state, optionally with a new party count."""
-        with self._lock:
-            cells = self._cells
-            cells[self._COUNT] = 0
-            cells[self._GENERATION] += 1
-            cells[self._BROKEN] = 0
-            if parties is not None:
-                if parties < 1:
-                    raise ValueError(f"barrier needs at least 1 party, got {parties}")
-                cells[self._PARTIES] = parties
-
-
 class SyncArena:
     """Pre-allocated pool of shared claim counters for workshared loops.
 
@@ -676,11 +530,9 @@ class SyncArena:
     #: int64 cells per slot (for sizing external storage; see ``cells=``).
     CELLS_PER_SLOT = 2
 
-    def __init__(self, capacity: int = 256, *, cells: Any = None, lock: Any = None, fresh: bool = True) -> None:
-        """``cells``/``lock`` plug in alternative storage (e.g. a
-        :class:`SharedArray` int64 view guarded by a :class:`PipeLock` for the
-        subinterpreter backend); ``fresh=False`` attaches to storage another
-        party already initialised instead of resetting it."""
+    def __init__(self, capacity: int = 256, *, cells: Any = None, lock: Any = None) -> None:
+        """``cells``/``lock`` plug in alternative storage (e.g. the socket
+        plane coordinator's heap cells under a ``threading`` lock)."""
         if capacity % MAX_TEAM_LEVELS:
             raise ValueError(f"capacity must be a multiple of {MAX_TEAM_LEVELS}, got {capacity}")
         if cells is None:
@@ -692,8 +544,7 @@ class SyncArena:
         self.capacity = capacity
         self._lock = lock
         self._cells = cells
-        if fresh:
-            self.reset()
+        self.reset()
 
     def reset(self) -> None:
         """Mark every slot unused (called between regions by the pool)."""
@@ -839,10 +690,9 @@ class TaskStealArena:
         return (TaskStealArena._FIELDS + 2 * max_workers) * capacity
 
     def __init__(
-        self, max_workers: int = 64, capacity: int = 64, *, cells: Any = None, lock: Any = None, fresh: bool = True
+        self, max_workers: int = 64, capacity: int = 64, *, cells: Any = None, lock: Any = None
     ) -> None:
-        """``cells``/``lock``/``fresh`` as for :class:`SyncArena`: alternative
-        storage for backends whose locks cannot cross the member boundary."""
+        """``cells``/``lock`` as for :class:`SyncArena`."""
         if max_workers < 1:
             raise ValueError(f"arena needs at least 1 worker, got {max_workers}")
         if capacity % MAX_TEAM_LEVELS:
@@ -858,8 +708,7 @@ class TaskStealArena:
             raise ValueError("external cells need an external lock")
         self._lock = lock
         self._cells = cells
-        if fresh:
-            self.reset()
+        self.reset()
 
     def reset(self) -> None:
         """Mark every slot unused (called between regions by the pool)."""
@@ -993,9 +842,8 @@ class TunePlanArena:
     #: int64 cells per slot (for sizing external storage; see ``cells=``).
     CELLS_PER_SLOT = 5
 
-    def __init__(self, capacity: int = 256, *, cells: Any = None, lock: Any = None, fresh: bool = True) -> None:
-        """``cells``/``lock``/``fresh`` as for :class:`SyncArena`: alternative
-        storage for backends whose locks cannot cross the member boundary."""
+    def __init__(self, capacity: int = 256, *, cells: Any = None, lock: Any = None) -> None:
+        """``cells``/``lock`` as for :class:`SyncArena`."""
         if capacity % MAX_TEAM_LEVELS:
             raise ValueError(f"capacity must be a multiple of {MAX_TEAM_LEVELS}, got {capacity}")
         if cells is None:
@@ -1007,8 +855,7 @@ class TunePlanArena:
         self.capacity = capacity
         self._lock = lock
         self._cells = cells
-        if fresh:
-            self.reset()
+        self.reset()
 
     def reset(self) -> None:
         """Mark every slot unused (called between regions by the pool)."""

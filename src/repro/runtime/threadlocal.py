@@ -14,12 +14,14 @@ Implements the semantics of the paper's ``@ThreadLocalField`` /
 
 The store is keyed by the owning object and field name, so several fields on
 several objects can be thread-local at once (distinguished by the annotation's
-``id`` parameter in the paper; here by ``(owner, field)``).
+``id`` parameter in the paper; here by ``(owner, field)``).  Owners are held
+weakly, so a woven instance's slots die with it.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Any, Callable, Hashable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
@@ -127,17 +129,31 @@ class ThreadLocalStore:
     """Per-(owner, field) storage of per-thread values plus the shared value."""
 
     def __init__(self) -> None:
-        self._values: dict[tuple[Hashable, str], dict[Hashable, Any]] = {}
+        #: owner -> field -> slot; an owner's slots go when the owner does.
+        self._values: "weakref.WeakKeyDictionary[Any, dict[str, dict[Hashable, Any]]]" = weakref.WeakKeyDictionary()
+        #: the same for owners that cannot be weakly referenced (``object()``,
+        #: ``__slots__`` classes without ``__weakref__``), held strongly.
+        self._pinned: dict[Hashable, dict[str, dict[Hashable, Any]]] = {}
         self._lock = threading.Lock()
 
     def _slot(self, owner: Hashable, field: str) -> dict[Hashable, Any]:
-        key = (owner, field)
         with self._lock:
-            slot = self._values.get(key)
+            try:
+                fields = self._values.get(owner)
+                if fields is None:
+                    fields = self._values[owner] = {}
+            except TypeError:
+                fields = self._pinned.setdefault(owner, {})
+            slot = fields.get(field)
             if slot is None:
-                slot = {}
-                self._values[key] = slot
+                slot = fields[field] = {}
             return slot
+
+    def clear(self) -> None:
+        """Drop every owner's slots."""
+        with self._lock:
+            self._values.clear()
+            self._pinned.clear()
 
     # -- shared value --------------------------------------------------------
 

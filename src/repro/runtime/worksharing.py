@@ -253,7 +253,7 @@ def run_for(
     if ordered and team.is_process_team:
         raise BackendCapabilityError(
             f"loop {name!r}: ordered execution needs a shared Python heap; "
-            "isolated-heap teams (process or subinterpreter backends) cannot "
+            "isolated-heap teams (process or distributed backends) cannot "
             "honour it (weave with threads, or mark the region as requiring "
             "shared locals to get the automatic fallback)"
         )

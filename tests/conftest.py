@@ -37,9 +37,9 @@ def _clean_runtime_state():
     set_config(RuntimeConfig())
     global_locks.clear()
     reset_tuner()
-    # The thread-local store is keyed by object identity; dropping references
-    # is enough, but clear defensively to keep memory bounded across the run.
-    global_thread_locals._values.clear()  # noqa: SLF001 - test-only cleanup
+    # Owners that cannot be weakly referenced (bare ``object()`` instances in
+    # tests) are held strongly by the store; clear them between tests.
+    global_thread_locals.clear()
 
 
 #: wall-clock budget for watchdog-guarded scenarios (seconds); generous

@@ -1,6 +1,6 @@
 """Unit coverage of :class:`repro.obs.arena.MetricsArena`.
 
-The arena is the fork/subinterp aggregation plane: disjoint per-member int64
+The arena is the fork and pool aggregation plane: disjoint per-member int64
 cell ranges over pluggable storage, flushed by workers and drained by the
 master.  The fork round-trip test exercises the real cross-process path the
 process backend uses.
@@ -56,14 +56,6 @@ class TestArenaBasics:
         arena.flush_member(0, [(1, 9)])
         arena.reset()
         assert arena.drain() == []
-
-    def test_attach_shares_the_storage(self):
-        """``cells=``/``fresh=False`` attaches a second view without clearing."""
-        cells = [0] * 6
-        owner = MetricsArena(2, slots=3, cells=cells)
-        owner.flush_member(0, [(2, 4)])
-        attached = MetricsArena(2, slots=3, cells=cells, fresh=False)
-        assert attached.drain() == [(2, 4)]
 
 
 @requires_fork

@@ -1,19 +1,20 @@
 """Capability-matrix tests for ``Backend.resolve_for_region`` and friends.
 
 Covers the full backend × region-shape matrix (team size, nesting level,
-``requires_shared_locals``), the documented fallback order, the live
-``true_parallel`` capability on every backend, and the loud fork-requirement
-error of the components that cannot degrade (satellites of the GIL-free
-execution tier).
+``requires_shared_locals``), the one fallback policy both isolated-heap
+backends (processes, distributed) share, the live ``true_parallel``
+capability on every backend, and the loud fork-requirement error of the
+components that cannot degrade.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 
 from repro.runtime import backend as backend_mod
 from repro.runtime import shm
-from repro.runtime import subinterp
 from repro.runtime.backend import (
     ProcessBackend,
     SerialBackend,
@@ -23,8 +24,8 @@ from repro.runtime.backend import (
     free_threaded_build,
     gil_enabled,
 )
+from repro.runtime.distributed import DistributedBackend
 from repro.runtime.exceptions import BackendError
-from repro.runtime.subinterp import SubinterpreterBackend
 
 #: the (size, nesting_level, requires_shared_locals) shapes the matrix covers
 REGION_SHAPES = [
@@ -36,22 +37,33 @@ REGION_SHAPES = [
     (4, 1, True),
 ]
 
+#: the isolated-heap backends, which share one fallback policy
+ISOLATED = pytest.mark.parametrize(
+    "backend_cls",
+    [
+        pytest.param(
+            ProcessBackend,
+            marks=pytest.mark.skipif(not shm.fork_available(), reason="process backend needs fork"),
+        ),
+        DistributedBackend,
+    ],
+)
+
 
 class TestRegistry:
-    def test_all_four_backends_registered(self):
-        assert {"serial", "threads", "processes", "subinterp"} <= set(available_backends())
+    def test_all_backends_registered(self):
+        assert set(available_backends()) == {"serial", "threads", "processes", "distributed"}
 
-    def test_subinterp_resolves_to_backend_instance(self):
-        backend = backend_by_name("subinterp")
-        assert isinstance(backend, SubinterpreterBackend)
-        assert backend_by_name("subinterp") is backend  # cached singleton
+    def test_unknown_backend_names_the_valid_set(self):
+        with pytest.raises(ValueError, match="unknown backend 'interpreters'; valid backends: distributed, processes"):
+            backend_by_name("interpreters")  # a former alias of the deleted backend
 
     def test_capability_flags_per_backend(self):
         expectations = {
             "serial": (True, 1.0),
             "threads": (True, 1.0),
             "processes": (False, 4.0),
-            "subinterp": (False, 6.0),
+            "distributed": (False, 8.0),
         }
         for name, (shared_locals, spinup) in expectations.items():
             backend = backend_by_name(name)
@@ -64,7 +76,7 @@ class TestRegistry:
         assert (
             ThreadBackend().spinup_cost_scale
             < ProcessBackend().spinup_cost_scale
-            < SubinterpreterBackend().spinup_cost_scale
+            < DistributedBackend().spinup_cost_scale
         )
 
 
@@ -88,62 +100,72 @@ class TestInProcessBackends:
         )
 
 
-@pytest.mark.skipif(not shm.fork_available(), reason="process backend needs the fork start method")
-class TestProcessResolution:
-    def test_matrix(self):
-        backend = ProcessBackend()
-        # Teams of one stay on the backend (no workers to isolate).
-        assert backend.resolve_for_region(size=1, nesting_level=0, requires_shared_locals=True) is backend
-        # Plain top-level SPMD regions are the backend's home turf.
+class TestIsolatedHeapResolution:
+    @ISOLATED
+    @pytest.mark.parametrize("shared_locals", [False, True])
+    def test_size_one_resolves_to_self(self, backend_cls, shared_locals, recwarn):
+        backend = backend_cls()
+        assert backend.resolve_for_region(size=1, nesting_level=0, requires_shared_locals=shared_locals) is backend
+        assert not recwarn.list
+
+    @ISOLATED
+    def test_top_level_spmd_region_resolves_to_self(self, backend_cls, recwarn):
+        backend = backend_cls()
         assert backend.resolve_for_region(size=4, nesting_level=0, requires_shared_locals=False) is backend
-        # Nested regions become thread sub-teams (designed hierarchy, silent).
-        assert backend.resolve_for_region(size=4, nesting_level=1, requires_shared_locals=False) is backend.fallback
-        # Shared-heap constructs fall back loudly.
-        with pytest.warns(RuntimeWarning, match="ProcessBackend.*shared Python heap"):
-            resolved = backend.resolve_for_region(size=4, nesting_level=0, requires_shared_locals=True)
+        assert not recwarn.list
+
+    @ISOLATED
+    @pytest.mark.parametrize("shared_locals", [False, True])
+    def test_nested_regions_go_to_the_fallback_silently(self, backend_cls, shared_locals, recwarn):
+        # Designed hierarchy, not a degradation: no warning.
+        backend = backend_cls()
+        resolved = backend.resolve_for_region(size=4, nesting_level=1, requires_shared_locals=shared_locals)
         assert resolved is backend.fallback
+        assert not recwarn.list
 
-    def test_fallback_is_a_thread_backend(self):
-        assert isinstance(ProcessBackend().fallback, ThreadBackend)
+    @ISOLATED
+    def test_shared_locals_warn_once_naming_the_backend(self, backend_cls):
+        backend = backend_cls()
+        with pytest.warns(RuntimeWarning, match=f"{backend_cls.__name__}: .*shared Python heap") as caught:
+            for _ in range(3):
+                resolved = backend.resolve_for_region(size=4, nesting_level=0, requires_shared_locals=True)
+                assert resolved is backend.fallback
+        assert len(caught) == 1
 
-    def test_no_fork_falls_back_with_warning(self, monkeypatch):
+    @ISOLATED
+    def test_fallback_is_one_cached_thread_backend(self, backend_cls):
+        backend = backend_cls()
+        assert isinstance(backend.fallback, ThreadBackend)
+        assert backend.fallback is backend.fallback
+
+    @ISOLATED
+    def test_ineligible_body_is_never_shipped(self, backend_cls):
+        # Only picklable bound methods of process_safe owners can be shipped;
+        # a closure forks (processes) or runs on the fallback (distributed).
+        backend = backend_cls()
+        assert backend._body_payload(lambda: None) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sync = backend.create_process_sync(2, lambda: None)
+        assert sync is None or not sync.pooled
+
+    def test_ineligible_body_warns_once_on_distributed(self):
+        backend = DistributedBackend()
+        with pytest.warns(RuntimeWarning, match="DistributedBackend: region body is not a picklable") as caught:
+            for _ in range(3):
+                assert backend.create_process_sync(2, lambda: None) is None
+        assert len(caught) == 1
+
+    def test_no_fork_warns_and_falls_back(self, monkeypatch):
         monkeypatch.setattr(shm, "fork_available", lambda: False)
         backend = ProcessBackend()
-        with pytest.warns(RuntimeWarning, match="ProcessBackend.*fork"):
+        with pytest.warns(RuntimeWarning, match="ProcessBackend: fork start method unavailable"):
             resolved = backend.resolve_for_region(size=4, nesting_level=0, requires_shared_locals=False)
         assert resolved is backend.fallback
 
-
-class TestSubinterpResolution:
-    @pytest.mark.parametrize("shared_locals", [False, True])
-    def test_size_one_resolves_to_self(self, shared_locals):
-        backend = SubinterpreterBackend()
-        assert (
-            backend.resolve_for_region(size=1, nesting_level=0, requires_shared_locals=shared_locals) is backend
-        )
-
-    def test_matrix_when_available(self, monkeypatch):
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: True)
-        backend = SubinterpreterBackend()
-        assert backend.resolve_for_region(size=4, nesting_level=0, requires_shared_locals=False) is backend
-        assert backend.resolve_for_region(size=4, nesting_level=1, requires_shared_locals=False) is backend.fallback
-        with pytest.warns(RuntimeWarning, match="SubinterpreterBackend.*shared Python heap"):
-            resolved = backend.resolve_for_region(size=4, nesting_level=0, requires_shared_locals=True)
-        assert resolved is backend.fallback
-
-    def test_matrix_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: False)
-        backend = SubinterpreterBackend()
-        with pytest.warns(RuntimeWarning, match="SubinterpreterBackend"):
-            for nesting in (0, 1):
-                for shared_locals in (False, True):
-                    resolved = backend.resolve_for_region(
-                        size=4, nesting_level=nesting, requires_shared_locals=shared_locals
-                    )
-                    assert resolved is backend.fallback
-
-    def test_fallback_is_a_thread_backend(self):
-        assert isinstance(SubinterpreterBackend().fallback, ThreadBackend)
+    @pytest.mark.parametrize("backend_cls", [ThreadBackend, SerialBackend])
+    def test_in_process_backends_have_no_fallback(self, backend_cls):
+        assert backend_cls().fallback is None
 
 
 class TestTrueParallel:
@@ -161,11 +183,8 @@ class TestTrueParallel:
         monkeypatch.setattr(shm, "fork_available", lambda: False)
         assert ProcessBackend().true_parallel is False
 
-    def test_subinterp_follows_the_probe(self, monkeypatch):
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: True)
-        assert SubinterpreterBackend().true_parallel is True
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: False)
-        assert SubinterpreterBackend().true_parallel is False
+    def test_distributed_is_always_parallel(self):
+        assert DistributedBackend().true_parallel is True
 
     def test_build_introspection_is_consistent(self):
         assert isinstance(free_threaded_build(), bool)
@@ -189,7 +208,7 @@ class TestForkRequirement:
         message = str(excinfo.value)
         assert "the persistent process pool" in message
         # The error points at the backends that do work here.
-        assert "threads or subinterp" in message
+        assert "threads or distributed" in message
 
     def test_persistent_pool_refuses_to_build_without_fork(self, monkeypatch):
         from repro.runtime.procpool import PersistentProcessPool

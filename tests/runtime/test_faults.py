@@ -294,12 +294,6 @@ class TestHeartbeatArena:
         arena.note_arrival(5)
         assert arena.pid(5) == 0 and arena.age(5) is None
 
-    def test_attach_to_existing_cells(self):
-        arena = shm.HeartbeatArena(capacity=4)
-        arena.register(1)
-        attached = shm.HeartbeatArena(capacity=4, cells=arena.cells, fresh=False)
-        assert attached.pid(1) == os.getpid()
-
 
 class TestBarrierDiagnostics:
     def test_broken_barrier_carries_team_context(self):
@@ -449,6 +443,54 @@ class TestWorkerDeathPoolPath:
         pool = PersistentProcessPool(1)
         pool.shutdown()
         assert not pool.heal()
+
+
+class ConfigProbeBody:
+    """Picklable ``process_safe`` owner recording the config each member ran under."""
+
+    process_safe = True
+
+    def __init__(self, members: int) -> None:
+        self.seen = shm.shared_zeros((members, 2))
+
+    def run(self) -> None:
+        from repro.runtime.config import get_config
+
+        config = get_config()
+        self.seen.view()[ctx.get_thread_id()] = (config.backend == "threads", config.tracing)
+
+
+@requires_fork
+class TestPooledMembersFollowTheMaster:
+    """Pool workers outlive the plan and config they were forked under: each
+    region ships both, exactly as socket-plane regions do."""
+
+    def test_fault_plan_installed_after_the_pool_forked_reaches_members(self, process_backend):
+        body = SharedFillBody(16)
+        try:
+            assert process_backend.prewarm(1)
+            parallel_region(body.run, num_threads=2, backend=process_backend, name="pool-clean")
+            assert process_backend._pool is not None
+            install("raise:member=1")
+            with pytest.raises(BrokenTeamError) as excinfo:
+                parallel_region(body.run, num_threads=2, backend=process_backend, name="pool-late-plan")
+            assert isinstance(excinfo.value.__cause__, InjectedFault)
+            # Disarming after the fact reaches the same warm workers too.
+            set_fault_plan(None)
+            body.out.view()[:] = 0.0
+            parallel_region(body.run, num_threads=2, backend=process_backend, name="pool-disarmed")
+            assert np.array_equal(body.out.view(), body.expected())
+        finally:
+            body.close()
+
+    def test_pool_members_run_untraced_with_thread_sub_teams(self, process_backend):
+        assert process_backend.prewarm(2)  # forked under the tracing test config
+        body = ConfigProbeBody(3)
+        try:
+            parallel_region(body.run, num_threads=3, backend=process_backend, name="pool-config")
+            assert body.seen.view()[1:].tolist() == [[1.0, 0.0], [1.0, 0.0]]
+        finally:
+            body.seen.close()
 
 
 class TestRecoveryPolicy:

@@ -324,7 +324,7 @@ class TestSharedArrayLifecycle:
         from repro.runtime.backend import ProcessBackend
         from repro.runtime.team import parallel_region
 
-        backend = ProcessBackend(use_pool=True)
+        backend = ProcessBackend()
         assert backend.prewarm(1)  # fork first: the segment must be attached, not inherited
         body = _PoolFill()
         try:

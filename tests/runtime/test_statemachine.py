@@ -9,8 +9,8 @@ execution context, lock registry re-entrant across regions), so hypothesis
 shrinks any ordering bug it finds to a minimal reproducing step sequence.
 
 Backends: serial and threads — the in-process backends where thousands of
-short regions are cheap.  The process/interpreter paths get their own
-deterministic suites (``test_faults.py``, ``test_subinterp.py``); forking per
+short regions are cheap.  The process paths get their own deterministic
+suites (``test_faults.py``, ``test_dataplane.py``); forking per
 fuzz step would dominate the runtime without adding interleaving coverage.
 """
 

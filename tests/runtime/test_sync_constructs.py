@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -292,6 +294,27 @@ class TestThreadLocalStore:
         store = ThreadLocalStore()
         with pytest.raises(ReductionError):
             store.reduce(object(), "missing", SumReducer(), include_shared=False)
+
+    def test_woven_owner_slots_die_with_the_owner(self):
+        """The store must not keep woven kernels alive after their run."""
+        from repro.jgf.moldyn.variants import run_variant
+        from repro.runtime.threadlocal import global_thread_locals
+
+        kernel, _checksum = run_variant("jgf", 32, num_threads=2, moves=1)
+        assert global_thread_locals._values.get(kernel), "the woven run used thread-local slots"
+        owner = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert owner() is None
+        assert len(global_thread_locals._values) == 0
+
+    def test_owners_without_weakref_support_still_work(self):
+        store = ThreadLocalStore()
+        owner = object()  # cannot be weakly referenced
+        store.set_shared(owner, "x", 5)
+        assert store.read(owner, "x") == 5
+        store.clear()
+        assert store.get_shared(owner, "x") is None
 
     def test_reducers(self):
         assert SumReducer().merge(2, 3) == 5
